@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Docs link check: fail on relative markdown links that point at files
 # which do not exist. Scans README.md and docs/*.md, ignoring fenced code
-# blocks (``` ... ```) and inline code spans. External links
-# (http/https/mailto) are out of scope — CI must not depend on the network.
+# blocks (``` ... ```) and inline code spans, and every *.md name that a
+# source file under src/ or bench/ cites (comments and printed banners),
+# resolved from the repository root. External links (http/https/mailto)
+# are out of scope — CI must not depend on the network.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,6 +33,18 @@ for md in README.md docs/*.md; do
     fi
   done <<< "$targets"
 done
+
+# Source citations: "see docs/ARCHITECTURE.md §4" must name a real file.
+refs=$(grep -rnoE '[A-Za-z0-9_./-]+\.md\b' src bench \
+         --include='*.hpp' --include='*.cpp' || true)
+while IFS= read -r ref; do
+  [ -z "$ref" ] && continue
+  name="${ref##*:}"         # file:line:name -> name
+  if [ ! -e "$name" ]; then
+    echo "dead doc reference in ${ref%:*}: $name" >&2
+    fail=1
+  fi
+done <<< "$refs"
 
 if [ "$fail" -ne 0 ]; then
   echo "docs link check FAILED" >&2

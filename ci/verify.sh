@@ -92,12 +92,15 @@ rm -f "$CACHE_ARTIFACT"
 ./build/bench/bench_cache --scale 0.2 --json "$CACHE_ARTIFACT"
 ./build/bench/bench_replay "$CACHE_ARTIFACT" --rows 2
 
-# Serving smoke: bench_serve over the forked UDS runtime at 2 partitions —
-# its own gates exit non-zero if batch=32 serves below 2x the QPS of
-# batch=1 at >= 4 partitions, if socket queries/predictions/logits diverge
-# bitwise from the mailbox serve of the same config, or if a sweep point
-# drops queries (docs/ARCHITECTURE.md §10). The explicit ctest rerun calls
-# out a serve-determinism regression by name.
+# Serving smoke: bench_serve over the forked UDS runtime at 2 and 4
+# partitions. Each serve call builds its logits table with one full-graph
+# forward at load and answers batches by lookup plus gather; the bench's
+# own gates exit non-zero if a batch=1 query's p50 exceeds 1/50 of that
+# load (mailbox or UDS), if batch=32 serves below 2x the QPS of batch=1 at
+# >= 4 partitions, if socket queries/predictions/logits diverge bitwise
+# from the mailbox serve of the same config, or if a sweep point drops
+# queries (docs/ARCHITECTURE.md §10). The explicit ctest rerun calls out a
+# serve-determinism regression by name.
 ctest --test-dir build --output-on-failure -R test_serve
 ./build/bench/bench_serve --transport uds --scale 0.25 --parts 2,4 \
   --json build/serve_smoke.json

@@ -29,6 +29,7 @@ ServeReport report_from_result(core::ServeResult&& res,
   r.batch_size = scfg.batch_size;
   r.num_batches = scfg.num_batches;
   r.num_classes = res.num_classes;
+  r.load = res.load;
   r.batches = std::move(res.batches);
   r.queries = std::move(res.queries);
   r.predictions = std::move(res.predictions);
@@ -47,7 +48,6 @@ void read_if(const json::Value& v, const char* key, T& out, Reader read) {
 const auto as_i = [](const json::Value& f) {
   return static_cast<int>(f.as_int64());
 };
-const auto as_i64 = [](const json::Value& f) { return f.as_int64(); };
 const auto as_b = [](const json::Value& f) { return f.as_bool(); };
 
 json::Value batch_to_json(const core::ServeBatchStats& b) {
@@ -56,12 +56,6 @@ json::Value batch_to_json(const core::ServeBatchStats& b) {
   v.set("comm_s", b.comm_s);
   v.set("feature_bytes", b.feature_bytes);
   v.set("control_bytes", b.control_bytes);
-  // Written only when a halo cache ran (RunReport conventions).
-  if (b.cache_hit_rows != 0 || b.cache_miss_rows != 0 || b.bytes_saved != 0) {
-    v.set("cache_hit_rows", b.cache_hit_rows);
-    v.set("cache_miss_rows", b.cache_miss_rows);
-    v.set("bytes_saved", b.bytes_saved);
-  }
   return v;
 }
 
@@ -71,9 +65,9 @@ core::ServeBatchStats batch_from_json(const json::Value& v) {
   b.comm_s = v.at("comm_s").as_double();
   b.feature_bytes = v.at("feature_bytes").as_int64();
   b.control_bytes = v.at("control_bytes").as_int64();
-  read_if(v, "cache_hit_rows", b.cache_hit_rows, as_i64);
-  read_if(v, "cache_miss_rows", b.cache_miss_rows, as_i64);
-  read_if(v, "bytes_saved", b.bytes_saved, as_i64);
+  // Legacy rows may also carry per-batch halo-cache counters
+  // (cache_hit_rows, cache_miss_rows, bytes_saved); serving has no cache,
+  // so they are ignored.
   return b;
 }
 
@@ -168,6 +162,7 @@ json::Value to_json(const ServeReport& r) {
   // Written only for measured (socket-fabric) serves, RunReport style.
   if (r.timing == comm::TimingSource::kMeasured)
     v.set("timing_source", "measured");
+  v.set("load", batch_to_json(r.load));
   json::Value batches = json::Value::array();
   for (const auto& b : r.batches) batches.push_back(batch_to_json(b));
   v.set("batches", std::move(batches));
@@ -193,12 +188,6 @@ json::Value to_json(const ServeReport& r) {
   derived.set("p50_latency_s", r.p50_latency_s());
   derived.set("p99_latency_s", r.p99_latency_s());
   derived.set("qps", r.qps());
-  if (r.cache_hit_rows() != 0 || r.cache_miss_rows() != 0) {
-    derived.set("cache_hit_rows", r.cache_hit_rows());
-    derived.set("cache_miss_rows", r.cache_miss_rows());
-    derived.set("cache_bytes_saved", r.cache_bytes_saved());
-    derived.set("cache_hit_rate", r.cache_hit_rate());
-  }
   v.set("derived", std::move(derived));
   return v;
 }
@@ -219,6 +208,8 @@ ServeReport serve_report_from_json(const json::Value& v) {
     r.timing = s == "measured" ? comm::TimingSource::kMeasured
                                : comm::TimingSource::kSimulated;
   }
+  // Legacy reports predate the table build and carry no "load": zeros.
+  read_if(v, "load", r.load, batch_from_json);
   for (const auto& b : v.at("batches").items())
     r.batches.push_back(batch_from_json(b));
   for (const auto& q : v.at("queries").items())

@@ -25,10 +25,11 @@ struct ServeConfig {
   int fail_rank = -1;
 };
 
-/// The result of api::serve: training provenance plus the per-batch
-/// latency/traffic rows and the answered queries. Mirrors RunReport's
-/// conventions — stored fields round-trip the JSON artifact exactly, the
-/// headline numbers are derived accessors recomputed on read.
+/// The result of api::serve: training provenance, the table build's `load`
+/// row, the per-batch latency/traffic rows and the answered queries.
+/// Mirrors RunReport's conventions — stored fields round-trip the JSON
+/// artifact exactly, the headline numbers are derived accessors recomputed
+/// on read.
 struct ServeReport {
   std::string method;   // always "bns" today
   std::string dataset;
@@ -36,13 +37,15 @@ struct ServeReport {
   int batch_size = 0;
   int num_batches = 0;
   int num_classes = 0;
+  core::ServeBatchStats load;  // the one full-graph forward per serve call
   std::vector<core::ServeBatchStats> batches;
   std::vector<NodeId> queries;     // global ids, flat across batches
   std::vector<int> predictions;    // argmax class per query
   std::vector<float> logits;       // queries × num_classes; empty unless
                                    // ServeConfig::record_logits
   double train_wall_s = 0.0;  // wall time of the weight-producing training
-  double serve_wall_s = 0.0;  // wall time of the serve loop (rank 0)
+  double serve_wall_s = 0.0;  // wall time of the request loop (rank 0),
+                              // excluding `load`
   comm::TimingSource timing = comm::TimingSource::kSimulated;
 
   [[nodiscard]] int total_queries() const {
@@ -55,11 +58,14 @@ struct ServeReport {
     lat.reserve(batches.size());
     for (const auto& b : batches) lat.push_back(b.latency_s);
     std::sort(lat.begin(), lat.end());
-    const auto n = static_cast<double>(lat.size());
-    auto idx = static_cast<std::size_t>(p * n);
-    if (idx > 0) --idx;
-    if (idx >= lat.size()) idx = lat.size() - 1;
-    return lat[idx];
+    return lat[percentile_index(p)];
+  }
+  /// How many per-batch latency samples rank above the p-th percentile:
+  /// a tail percentile backed by fewer than ~10 of them is one or two
+  /// outliers, not a statistic.
+  [[nodiscard]] std::size_t latency_samples_beyond(double p) const {
+    if (batches.empty()) return 0;
+    return batches.size() - 1 - percentile_index(p);
   }
   [[nodiscard]] double p50_latency_s() const {
     return latency_percentile_s(0.50);
@@ -68,34 +74,20 @@ struct ServeReport {
     return latency_percentile_s(0.99);
   }
   /// Served queries per second of request-handling time (sum of batch
-  /// latencies): the batching lever's headline — one full-graph forward
-  /// answers the whole batch, so QPS grows with batch size.
+  /// latencies, excluding `load`): each batch costs owner lookups plus one
+  /// gather to rank 0, a fixed cost that a larger batch amortizes.
   [[nodiscard]] double qps() const {
     double busy = 0.0;
     for (const auto& b : batches) busy += b.latency_s;
     return busy > 0.0 ? static_cast<double>(total_queries()) / busy : 0.0;
   }
-  /// Halo-cache totals over the request stream (RunReport conventions).
-  [[nodiscard]] std::int64_t cache_hit_rows() const {
-    std::int64_t n = 0;
-    for (const auto& b : batches) n += b.cache_hit_rows;
-    return n;
-  }
-  [[nodiscard]] std::int64_t cache_miss_rows() const {
-    std::int64_t n = 0;
-    for (const auto& b : batches) n += b.cache_miss_rows;
-    return n;
-  }
-  [[nodiscard]] std::int64_t cache_bytes_saved() const {
-    std::int64_t n = 0;
-    for (const auto& b : batches) n += b.bytes_saved;
-    return n;
-  }
-  [[nodiscard]] double cache_hit_rate() const {
-    const std::int64_t total = cache_hit_rows() + cache_miss_rows();
-    return total > 0 ? static_cast<double>(cache_hit_rows()) /
-                           static_cast<double>(total)
-                     : 0.0;
+
+ private:
+  /// Nearest-rank index of percentile p into the sorted latencies.
+  [[nodiscard]] std::size_t percentile_index(double p) const {
+    auto idx = static_cast<std::size_t>(p * static_cast<double>(batches.size()));
+    if (idx > 0) --idx;
+    return std::min(idx, batches.size() - 1);
   }
 };
 

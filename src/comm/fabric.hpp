@@ -146,7 +146,8 @@ class Endpoint {
 /// Communication fabric over `nranks` logical ranks: per-rank Endpoints
 /// (stats + accounting) in front of a pluggable Transport backend. The
 /// default backend is the in-process mailbox (one thread per rank); the
-/// socket backends carry one rank per OS process. See DESIGN.md §1.
+/// socket backends carry one rank per OS process. See docs/ARCHITECTURE.md
+/// §3.
 class Fabric {
  public:
   /// In-process mailbox fabric (the deterministic test double).

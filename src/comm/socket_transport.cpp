@@ -162,7 +162,12 @@ bool FrameDecoder::pop(Frame& out) {
   BNSGCN_CHECK_MSG(kind <= static_cast<std::uint32_t>(FrameKind::kHaloDelta),
                    "corrupt frame kind");
   const auto nbytes = get_pod<std::uint64_t>(h + 12);
-  if (buf_.size() - pos_ < kFrameHeaderBytes + nbytes) return false;
+  BNSGCN_CHECK_MSG(nbytes <= kMaxFramePayloadBytes,
+                   "frame payload length " + std::to_string(nbytes) +
+                       " exceeds kMaxFramePayloadBytes");
+  // Compare against what follows the header: adding nbytes to the header
+  // size could wrap.
+  if (buffered() - kFrameHeaderBytes < nbytes) return false;
   out.kind = static_cast<FrameKind>(kind);
   out.tag = static_cast<int>(get_pod<std::uint32_t>(h + 8));
   out.payload.assign(h + kFrameHeaderBytes,

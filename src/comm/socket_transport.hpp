@@ -42,13 +42,19 @@ struct Frame {
 
 inline constexpr std::uint32_t kFrameMagic = 0x424E5347; // "BNSG"
 inline constexpr std::size_t kFrameHeaderBytes = 20;
+/// Largest payload a frame header may declare (1 GiB). The biggest legal
+/// message is one peer's halo block, rows × feature width × 4 bytes, far
+/// below this at every preset; a larger length is a corrupt or hostile
+/// stream and is rejected as soon as its header arrives.
+inline constexpr std::uint64_t kMaxFramePayloadBytes = std::uint64_t{1} << 30;
 
 /// Serialise a frame into header + payload, ready to write.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(const Frame& f);
 
 /// Incremental frame parser over an arbitrary byte stream. feed() bytes
 /// as they arrive (any split, down to one byte at a time); pop() yields
-/// complete frames in order. Throws CheckError on a corrupt header.
+/// complete frames in order. Throws CheckError on a corrupt header,
+/// including a payload length above kMaxFramePayloadBytes.
 class FrameDecoder {
  public:
   void feed(const std::uint8_t* data, std::size_t n);

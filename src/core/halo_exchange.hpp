@@ -24,7 +24,7 @@ namespace bnsgcn::core {
 //
 // This machinery is shared verbatim by the trainer (core/trainer.cpp) and
 // the forward-only serving engine (core/inference.cpp): the serving path
-// reuses the exact post/fold/cache code, which is what makes served logits
+// reuses the exact post/fold code, which is what makes served logits
 // bit-identical to the training-forward oracle (docs/ARCHITECTURE.md §10).
 
 struct PendingExchange {
@@ -168,9 +168,8 @@ class HaloExchanger {
 
   HaloExchanger(comm::Endpoint& ep, const Options& opts);
 
-  /// Halo-cache epoch context: the directories age entries by epoch index
-  /// (the serving engine passes the request-batch index), and the per-epoch
-  /// hit/miss/bytes-saved counters reset here.
+  /// Halo-cache epoch context: the directories age entries by epoch index,
+  /// and the per-epoch hit/miss/bytes-saved counters reset here.
   void begin_epoch(int epoch);
   [[nodiscard]] std::int64_t cache_hits() const { return ep_cache_hits_; }
   [[nodiscard]] std::int64_t cache_misses() const { return ep_cache_misses_; }

@@ -25,8 +25,8 @@ class ServeWorker {
  public:
   ServeWorker(const Dataset& ds, const TrainerConfig& cfg,
               const WeightSnapshot& weights, const LocalGraph& lg,
-              comm::Endpoint& ep)
-      : ds_(ds), cfg_(cfg), lg_(lg), ep_(ep) {
+              const std::vector<PartId>& owner, comm::Endpoint& ep)
+      : ds_(ds), cfg_(cfg), lg_(lg), owner_(owner), ep_(ep) {
     common::set_ops_threads(
         cfg_.threads_oversubscribe
             ? cfg_.threads
@@ -65,13 +65,9 @@ class ServeWorker {
     sampler_.emplace(lg_, so);
     full_plan_ = sampler_->full_plan();
 
-    // Staleness is a training-only knob (bounded drift on *changing*
-    // activations); weights are frozen here, so clamp it to 0 and keep
-    // served bits unconditionally identical to the cache-off forward —
-    // layer-0 rows, the batch-invariant bulk, still cache and hit.
+    // The halo cache is a training-only knob: the table build is the only
+    // exchange serving runs, and a single forward has nothing to hit.
     hx_.emplace(ep_, HaloExchanger::Options{.cost = cfg_.cost,
-                                            .cache_mb = cfg_.cache_mb,
-                                            .cache_staleness = 0,
                                             .num_layers = cfg_.num_layers,
                                             .feat_dim = ds.feat_dim(),
                                             .hidden = cfg_.hidden});
@@ -83,6 +79,25 @@ class ServeWorker {
     result.num_classes = ds_.num_classes;
     result.timing = ep_.timing();
     record_logits_ = opts.record_logits;
+
+    // Load: the snapshot's one full-graph forward materializes this rank's
+    // n_inner × num_classes logits table, which answers every batch below.
+    // The clock runs from a synchronized start until every rank holds its
+    // table; the bytes are this rank's forward traffic alone.
+    ep_.barrier();
+    // Test-only fault injection (ServeOptions::fail_rank): die just before
+    // the build's exchange, leaving peers blocked mid-exchange — the
+    // fabric's shutdown path must unwind them with ShutdownError.
+    if (opts.fail_rank == ep_.rank())
+      throw std::runtime_error("injected serve failure: rank " +
+                               std::to_string(ep_.rank()));
+    comm::RankStats before = ep_.stats();
+    Stopwatch load_clock;
+    const Matrix table = forward_full_graph();
+    const comm::RankStats load_delta = diff(ep_.stats(), before);
+    ep_.barrier();
+    result.load = sum_over_ranks(load_clock.elapsed_s(), load_delta);
+
     Stopwatch wall;
     // Every rank draws the identical flat query stream (same seed, same
     // generator), so owners and rank 0 agree on the queries without any
@@ -91,66 +106,21 @@ class ServeWorker {
     const auto n_nodes = static_cast<std::uint64_t>(ds_.num_nodes());
 
     for (int b = 0; b < opts.num_batches; ++b) {
-      // The batch index is the halo-cache epoch: layer-0 directories never
-      // go stale (input features are immutable), deeper layers age across
-      // request batches exactly as they age across training epochs.
-      hx_->begin_epoch(b);
       std::vector<NodeId> queries(static_cast<std::size_t>(opts.batch_size));
       for (auto& q : queries)
         q = static_cast<NodeId>(query_rng.next_below(n_nodes));
-
-      // Test-only fault injection (ServeOptions::fail_rank): die before
-      // batch 0's entry barrier, leaving peers mid-request-stream — the
-      // fabric's shutdown path must unwind them with ShutdownError.
-      if (b == 0 && opts.fail_rank == ep_.rank())
-        throw std::runtime_error("injected serve failure: rank " +
-                                 std::to_string(ep_.rank()));
 
       // Latency is measured from a synchronized start: the barrier is the
       // request batch's arrival edge, and rank 0's clock stops once the
       // batch's predictions are assembled.
       ep_.barrier();
-      const comm::RankStats before = ep_.stats();
+      before = ep_.stats();
       Stopwatch latency;
-
-      const Matrix logits = forward_full_graph();
-      gather_batch(queries, logits, result);
-      ServeBatchStats stats;
-      if (ep_.rank() == 0) stats.latency_s = latency.elapsed_s();
-
-      // Byte/cache accounting rides an allgather after the latency clock
-      // stopped, so the bookkeeping never pollutes the measurement. The
-      // collective also keeps ranks batch-synchronous, so the per-batch
-      // traffic deltas are unambiguous.
-      const comm::RankStats delta = diff(ep_.stats(), before);
-      const std::vector<double> local = {
-          delta.sim_seconds(TrafficClass::kFeature, cfg_.cost),
-          static_cast<double>(
-              delta.rx_bytes[static_cast<int>(TrafficClass::kFeature)]),
-          static_cast<double>(
-              delta.rx_bytes[static_cast<int>(TrafficClass::kControl)]),
-          static_cast<double>(hx_->cache_hits()),
-          static_cast<double>(hx_->cache_misses()),
-          static_cast<double>(hx_->bytes_saved())};
-      const auto slots = ep_.allgather_doubles(local);
-      if (ep_.rank() == 0) {
-        double feature_rx = 0.0, control_rx = 0.0;
-        double hits = 0.0, misses = 0.0, saved = 0.0;
-        for (const auto& s : slots) {
-          stats.comm_s = std::max(stats.comm_s, s[0]);
-          feature_rx += s[1];
-          control_rx += s[2];
-          hits += s[3];
-          misses += s[4];
-          saved += s[5];
-        }
-        stats.feature_bytes = static_cast<std::int64_t>(feature_rx);
-        stats.control_bytes = static_cast<std::int64_t>(control_rx);
-        stats.cache_hit_rows = static_cast<std::int64_t>(hits);
-        stats.cache_miss_rows = static_cast<std::int64_t>(misses);
-        stats.bytes_saved = static_cast<std::int64_t>(saved);
-        result.batches.push_back(stats);
-      }
+      gather_batch(queries, table, result);
+      const double latency_s = latency.elapsed_s();
+      const ServeBatchStats stats =
+          sum_over_ranks(latency_s, diff(ep_.stats(), before));
+      if (ep_.rank() == 0) result.batches.push_back(stats);
     }
     result.wall_time_s = wall.elapsed_s();
     return result;
@@ -171,10 +141,38 @@ class ServeWorker {
     return d;
   }
 
+  /// Fold every rank's traffic `delta` into one stats row on rank 0 (other
+  /// ranks get latency and bytes of zero). The allgather runs after the
+  /// latency clock stopped, so the bookkeeping never pollutes the
+  /// measurement; the collective also keeps ranks in lockstep, so the
+  /// per-batch traffic deltas are unambiguous.
+  ServeBatchStats sum_over_ranks(double latency_s,
+                                 const comm::RankStats& delta) {
+    const std::vector<double> local = {
+        delta.sim_seconds(TrafficClass::kFeature, cfg_.cost),
+        static_cast<double>(
+            delta.rx_bytes[static_cast<int>(TrafficClass::kFeature)]),
+        static_cast<double>(
+            delta.rx_bytes[static_cast<int>(TrafficClass::kControl)])};
+    const auto slots = ep_.allgather_doubles(local);
+    ServeBatchStats stats;
+    if (ep_.rank() != 0) return stats;
+    stats.latency_s = latency_s;
+    double feature_rx = 0.0, control_rx = 0.0;
+    for (const auto& s : slots) {
+      stats.comm_s = std::max(stats.comm_s, s[0]);
+      feature_rx += s[1];
+      control_rx += s[2];
+    }
+    stats.feature_bytes = static_cast<std::int64_t>(feature_rx);
+    stats.control_bytes = static_cast<std::int64_t>(control_rx);
+    return stats;
+  }
+
   /// One full-graph forward over the inner block — the trainer's phased
   /// schedule verbatim (post → halo-independent chunks with interleaved
   /// polls → in-order drain → finish), minus the breakdown plumbing. The
-  /// shared HaloExchanger/FoldDriver path is what makes the output
+  /// shared HaloExchanger/FoldDriver path is what makes the table
   /// bit-identical to a training-path forward of the same weights.
   [[nodiscard]] Matrix forward_full_graph() {
     const EpochPlan& plan = full_plan_;
@@ -182,6 +180,8 @@ class ServeWorker {
     const bool stream = mode == OverlapMode::kStream;
     const int L = cfg_.num_layers;
     Accumulator compute_acc; // FoldDriver bookkeeping; unused further
+    nn::HaloIncidence halo_inc;
+    if (use_phased_) halo_inc.build(plan.adj, plan.adj.n_dst);
     Matrix h = x_local_;
     for (int l = 0; l < L; ++l) {
       const int tag = next_tag();
@@ -190,11 +190,7 @@ class ServeWorker {
         PendingExchange px = hx_->post_forward(h, plan, tag, l);
         if (mode == OverlapMode::kBlocking) px.recvs.wait_all();
         layer.forward_inner_begin(plan.adj, h, /*training=*/false);
-        if (!inc_built_) {
-          halo_inc_.build(plan.adj, plan.adj.n_dst);
-          inc_built_ = true;
-        }
-        layer.forward_halo_begin(plan.adj, halo_inc_);
+        layer.forward_halo_begin(plan.adj, halo_inc);
         FoldDriver fold(px, stream);
         auto apply =
             hx_->make_forward_fold(px, plan, layer, /*scale=*/1.0f, h.cols());
@@ -218,77 +214,103 @@ class ServeWorker {
     return h;
   }
 
-  /// Route the batch's logits rows to rank 0 and assemble them in query
-  /// order. Every rank knows the full query list (shared stream), so each
-  /// owner ships (position, row) pairs over kControl and rank 0 folds the
-  /// peers in ascending rank order — the same fixed-order convention as
-  /// every other cross-rank path.
-  void gather_batch(const std::vector<NodeId>& queries, const Matrix& logits,
-                    ServeResult& result) {
-    const std::int64_t c = logits.cols();
-    std::vector<NodeId> owned_pos;
-    std::vector<float> owned_rows;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const auto it = std::lower_bound(lg_.inner_global.begin(),
-                                       lg_.inner_global.end(), queries[i]);
-      if (it == lg_.inner_global.end() || *it != queries[i]) continue;
-      const auto row = static_cast<std::int64_t>(
-          std::distance(lg_.inner_global.begin(), it));
-      owned_pos.push_back(static_cast<NodeId>(i));
-      const float* src = logits.data() + row * c;
-      owned_rows.insert(owned_rows.end(), src, src + c);
+  /// Complete `req`, polling it for up to kSpinBeforeBlock_s before
+  /// blocking. A serve round trip is microseconds of work on each side, so a
+  /// blocking wait's wake-up would dominate it. Yielding between polls keeps
+  /// a host with more ranks than cores from starving the rank waited on.
+  static void spin_then_wait(comm::Request& req) {
+    constexpr double kSpinBeforeBlock_s = 100e-6;
+    const Stopwatch spin;
+    while (!req.test()) {
+      if (spin.elapsed_s() > kSpinBeforeBlock_s) {
+        req.wait();
+        return;
+      }
+      std::this_thread::yield();
     }
+  }
+
+  /// This rank's rows of the logits table for the queries it owns, in
+  /// query order.
+  [[nodiscard]] std::vector<float> owned_rows(
+      const std::vector<NodeId>& queries, const Matrix& table) const {
+    const auto c = static_cast<std::ptrdiff_t>(table.cols());
+    std::vector<float> rows;
+    for (const NodeId q : queries) {
+      if (owner_[static_cast<std::size_t>(q)] != ep_.rank()) continue;
+      const auto it = std::lower_bound(lg_.inner_global.begin(),
+                                       lg_.inner_global.end(), q);
+      BNSGCN_CHECK(it != lg_.inner_global.end() && *it == q);
+      const float* src =
+          table.data() + std::distance(lg_.inner_global.begin(), it) * c;
+      rows.insert(rows.end(), src, src + c);
+    }
+    return rows;
+  }
+
+  /// Route the batch's rows of the logits table to rank 0 and assemble them
+  /// in query order. Every rank knows the full query list (shared stream)
+  /// and every node's owner (the shared partitioning). Rank 0 dispatches
+  /// the batch to each peer owning part of it with an empty kControl
+  /// message — the request hop, so no owner answers before rank 0's clock
+  /// starts — and each such owner replies with its rows in query order. A
+  /// rank owning none of the batch exchanges nothing. Rank 0 receives the
+  /// peers in ascending rank order — the same fixed-order convention as
+  /// every other cross-rank path — and places each peer's rows at the
+  /// positions it owns.
+  void gather_batch(const std::vector<NodeId>& queries, const Matrix& table,
+                    ServeResult& result) {
+    const auto c = static_cast<std::size_t>(table.cols());
+    std::vector<std::size_t> expected(static_cast<std::size_t>(ep_.nranks()));
+    for (const NodeId q : queries)
+      ++expected[static_cast<std::size_t>(owner_[static_cast<std::size_t>(q)])];
 
     const int tag = next_tag();
     if (ep_.rank() != 0) {
-      ep_.send_ids(0, tag, std::move(owned_pos), TrafficClass::kControl);
-      ep_.send_floats(0, tag, std::move(owned_rows), TrafficClass::kControl);
+      if (expected[static_cast<std::size_t>(ep_.rank())] == 0) return;
+      comm::Request dispatch = ep_.irecv_ids(0, tag, TrafficClass::kControl);
+      spin_then_wait(dispatch);
+      ep_.send_floats(0, tag, owned_rows(queries, table),
+                      TrafficClass::kControl);
       return;
     }
 
-    Matrix batch_logits(static_cast<NodeId>(queries.size()), c);
-    const auto place = [&](std::span<const NodeId> pos,
-                           std::span<const float> rows) {
-      BNSGCN_CHECK(rows.size() ==
-                   pos.size() * static_cast<std::size_t>(c));
-      for (std::size_t t = 0; t < pos.size(); ++t) {
-        std::copy(rows.data() + t * static_cast<std::size_t>(c),
-                  rows.data() + (t + 1) * static_cast<std::size_t>(c),
-                  batch_logits.data() +
-                      static_cast<std::int64_t>(pos[t]) * c);
-      }
-    };
-    place(owned_pos, owned_rows);
-    std::size_t placed = owned_pos.size();
+    for (PartId p = 1; p < ep_.nranks(); ++p)
+      if (expected[static_cast<std::size_t>(p)] > 0)
+        ep_.send_ids(p, tag, {}, TrafficClass::kControl);
+    std::vector<std::vector<float>> rows(expected.size());
+    rows[0] = owned_rows(queries, table);
     for (PartId p = 1; p < ep_.nranks(); ++p) {
-      const auto pos = ep_.recv_ids(p, tag, TrafficClass::kControl);
-      const auto rows = ep_.recv_floats(p, tag, TrafficClass::kControl);
-      place(pos, rows);
-      placed += pos.size();
+      const auto pi = static_cast<std::size_t>(p);
+      if (expected[pi] == 0) continue;
+      comm::Request reply = ep_.irecv_floats(p, tag, TrafficClass::kControl);
+      spin_then_wait(reply);
+      rows[pi] = reply.take_floats();
+      BNSGCN_CHECK_MSG(rows[pi].size() == expected[pi] * c,
+                       "serve gather: rank " + std::to_string(p) + " sent " +
+                           std::to_string(rows[pi].size() / c) + " of " +
+                           std::to_string(expected[pi]) + " rows");
     }
-    BNSGCN_CHECK_MSG(placed == queries.size(),
-                     "serve gather lost query rows: " +
-                         std::to_string(placed) + " of " +
-                         std::to_string(queries.size()));
 
+    // Assemble in query order: each peer's rows arrive in its query order.
+    std::vector<std::size_t> cursor(expected.size());
     result.queries.insert(result.queries.end(), queries.begin(),
                           queries.end());
-    for (NodeId q = 0; q < batch_logits.rows(); ++q) {
-      const float* row = batch_logits.data() + static_cast<std::int64_t>(q) * c;
-      int best = 0;
-      for (std::int64_t k = 1; k < c; ++k)
-        if (row[k] > row[best]) best = static_cast<int>(k);
-      result.predictions.push_back(best);
-    }
-    if (record_logits_) {
-      result.logits.insert(result.logits.end(), batch_logits.data(),
-                           batch_logits.data() + batch_logits.size());
+    for (const NodeId q : queries) {
+      const auto p =
+          static_cast<std::size_t>(owner_[static_cast<std::size_t>(q)]);
+      const float* row = rows[p].data() + cursor[p]++ * c;
+      // First-max argmax.
+      result.predictions.push_back(static_cast<int>(
+          std::distance(row, std::max_element(row, row + c))));
+      if (record_logits_) result.logits.insert(result.logits.end(), row, row + c);
     }
   }
 
   const Dataset& ds_;
   const TrainerConfig& cfg_;
   const LocalGraph& lg_;
+  const std::vector<PartId>& owner_;  // global node id -> owning rank
   comm::Endpoint& ep_;
 
   Matrix x_local_;
@@ -296,8 +318,6 @@ class ServeWorker {
   std::optional<BoundarySampler> sampler_;
   EpochPlan full_plan_;
   std::optional<HaloExchanger> hx_;
-  nn::HaloIncidence halo_inc_;
-  bool inc_built_ = false;
   bool use_phased_ = false;
   bool record_logits_ = false;
   int tag_seq_ = 0;
@@ -322,7 +342,7 @@ ServeResult InferenceEngine::serve_rank(comm::Fabric& fabric, PartId rank,
                fabric.nranks() == part_.nparts);
   ServeWorker worker(ds_, cfg_, weights_,
                      local_graphs_[static_cast<std::size_t>(rank)],
-                     fabric.endpoint(rank));
+                     part_.owner, fabric.endpoint(rank));
   return worker.run(opts);
 }
 
@@ -331,7 +351,6 @@ ServeResult InferenceEngine::serve(const ServeOptions& opts) {
   comm::Fabric fabric(m, cfg_.cost);
   ServeResult result;
 
-  Stopwatch wall;
   // lint: allow(raw-thread) — rank runtime, one OS thread per simulated
   // rank, mirroring BnsTrainer::train(); kernel-level parallelism inside
   // each rank still goes through the pool.
@@ -369,7 +388,6 @@ ServeResult InferenceEngine::serve(const ServeOptions& opts) {
   }
   if (root) std::rethrow_exception(root);
   if (first) std::rethrow_exception(first);
-  result.wall_time_s = wall.elapsed_s();
   return result;
 }
 

@@ -32,7 +32,8 @@ enum class OverlapMode : int { kBlocking = 0, kBulk = 1, kStream = 2 };
 /// Per-epoch timing/traffic breakdown (Fig. 5 / Table 6 quantities).
 /// Times are bulk-synchronous: max over ranks per phase. `compute_s` is
 /// measured wall time of the local math; comm/reduce/swap are simulated
-/// from exact byte counts via the CostModel (DESIGN.md §1).
+/// from exact byte counts via the CostModel (docs/BENCHMARKS.md,
+/// "Simulated vs measured comm times").
 struct EpochBreakdown {
   double compute_s = 0.0;
   double comm_s = 0.0;    // boundary feature/gradient exchange

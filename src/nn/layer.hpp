@@ -44,7 +44,8 @@ struct BipartiteCsr {
 /// Mean neighbor aggregation (Eq. 1 with a mean aggregator):
 ///   out[v,:] = inv_deg[v] * sum_{u in adj(v)} src[u,:]
 /// `inv_deg` is supplied by the caller because under boundary-node sampling
-/// the normalizer stays 1/full_degree (unbiasedness; DESIGN.md §3), which
+/// the normalizer stays 1/full_degree (with the 1/p halo rescale this keeps
+/// the sampled aggregate unbiased), which
 /// the adjacency alone cannot know.
 void mean_aggregate(const BipartiteCsr& adj, const Matrix& src,
                     std::span<const float> inv_deg, Matrix& out);

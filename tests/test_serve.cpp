@@ -1,11 +1,11 @@
 // Serving-path determinism and shutdown contracts (docs/ARCHITECTURE.md
-// §10). The forward-only engine reuses the trainer's split-phase exchange
-// verbatim, so served logits must be bit-identical across every axis that
-// training is bit-identical across — transport (mailbox vs forked UDS
-// processes), overlap mode, halo cache on/off — and additionally across
-// request batching: the query stream is flat, so any (batch_size,
-// num_batches) split of the same total serves the same queries in the
-// same order and must produce the same bits.
+// §10). The forward-only engine builds its logits table with the trainer's
+// split-phase exchange verbatim, so served logits must be bit-identical
+// across every axis that training is bit-identical across — transport
+// (mailbox vs forked UDS processes), overlap mode, halo cache on/off — and
+// additionally across request batching: the query stream is flat, so any
+// (batch_size, num_batches) split of the same total serves the same
+// queries in the same order and must produce the same bits.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "api/serve.hpp"
 #include "partition/metis_like.hpp"
@@ -71,8 +72,8 @@ void expect_same_bits(const api::ServeReport& a, const api::ServeReport& b,
 
 TEST(Serve, BatchSizeInvariantBitwise) {
   // The same 16-query stream served as 16×1, 4×4 and 1×16 batches must
-  // produce identical bits: one full-graph forward answers each batch, and
-  // the forward does not depend on which queries ride it.
+  // produce identical bits: one full-graph forward builds the table every
+  // batch reads, and the forward does not depend on the queries.
   const Dataset ds = small_dataset();
   const auto part = metis_like(ds.graph, 4);
   for (const auto model : {core::ModelKind::kSage, core::ModelKind::kGat}) {
@@ -126,48 +127,56 @@ TEST(Serve, OverlapModeInvariantBitwise) {
   expect_same_bits(stream, blocking, "stream+chunked vs blocking");
 }
 
-TEST(Serve, HaloCacheInvariantBitwiseAndWarm) {
-  // cache_staleness == 0: only the epoch-invariant layer-0 features cache,
-  // so cached serving is bit-identical to uncached — and the request
-  // batches after the first run warm (hits > 0, bytes saved > 0).
+TEST(Serve, ForwardRunsOncePerLoad) {
+  // One full-graph forward per serve call: the table build carries all of
+  // the feature traffic, and request batches carry none — each is owner
+  // lookups plus the kControl gather to rank 0. The halo cache is
+  // training-only (staleness 0 trains bit-identically), so cache_mb must
+  // not change a served bit or a load byte.
   const Dataset ds = small_dataset(83);
   const auto part = metis_like(ds.graph, 4);
   auto cfg = base_config(core::ModelKind::kSage);
-  const auto cold = api::serve(ds, part, cfg, serve_config(4, 4));
+  const auto plain = api::serve(ds, part, cfg, serve_config(4, 4));
   cfg.comm.cache_mb = 4;
   const auto cached = api::serve(ds, part, cfg, serve_config(4, 4));
-  expect_same_bits(cached, cold, "cache_mb=4 vs cache off");
-  EXPECT_EQ(cold.cache_hit_rows(), 0);
-  EXPECT_GT(cached.cache_hit_rows(), 0);
-  EXPECT_GT(cached.cache_bytes_saved(), 0);
-  // Batch 0 is the cold fill; every later batch re-requests the same
-  // layer-0 boundary rows and must hit.
-  ASSERT_EQ(cached.batches.size(), 4u);
-  EXPECT_EQ(cached.batches[0].cache_hit_rows, 0);
-  for (std::size_t b = 1; b < cached.batches.size(); ++b)
-    EXPECT_GT(cached.batches[b].cache_hit_rows, 0) << "batch " << b;
-
-  // Staleness is a training-only knob: the serve engine clamps it to 0
-  // (weights are frozen). A config carrying staleness > 0 trains with
-  // stale halos — different weights, different logits — but its serve
-  // loop must run the exact staleness-0 cache schedule: the structural
-  // counters (pure functions of positions and capacity, not of weights)
-  // must match the staleness-0 serve batch for batch. Unclamped, the
-  // deeper layers would also cache and inflate hits and bytes saved.
-  cfg.comm.cache_staleness = 2;
-  const auto stale = api::serve(ds, part, cfg, serve_config(4, 4));
-  ASSERT_EQ(stale.batches.size(), cached.batches.size());
-  for (std::size_t b = 0; b < stale.batches.size(); ++b) {
-    EXPECT_EQ(stale.batches[b].cache_hit_rows,
-              cached.batches[b].cache_hit_rows)
-        << "batch " << b;
-    EXPECT_EQ(stale.batches[b].cache_miss_rows,
-              cached.batches[b].cache_miss_rows)
-        << "batch " << b;
-    EXPECT_EQ(stale.batches[b].bytes_saved, cached.batches[b].bytes_saved)
-        << "batch " << b;
+  expect_same_bits(cached, plain, "cache_mb=4 vs cache off");
+  EXPECT_EQ(cached.load.feature_bytes, plain.load.feature_bytes);
+  for (const api::ServeReport* r : {&plain, &cached}) {
+    EXPECT_GT(r->load.feature_bytes, 0);
+    EXPECT_GT(r->load.latency_s, 0.0);
+    ASSERT_EQ(r->batches.size(), 4u);
+    std::int64_t gathered = 0;
+    for (std::size_t b = 0; b < r->batches.size(); ++b) {
+      EXPECT_EQ(r->batches[b].feature_bytes, 0) << "batch " << b;
+      EXPECT_EQ(r->batches[b].comm_s, 0.0) << "batch " << b;
+      gathered += r->batches[b].control_bytes;
+    }
+    EXPECT_GT(gathered, 0) << "no row crossed the gather";
   }
-  EXPECT_EQ(stale.queries, cached.queries);
+}
+
+TEST(Serve, LatencySamplesBeyondPercentile) {
+  // 100 batches with latencies 1..100 (stored out of order): the
+  // nearest-rank p-th percentile is sample ceil(p*100), and the samples
+  // beyond it are the ones a tail figure actually rests on.
+  api::ServeReport r;
+  EXPECT_EQ(r.latency_samples_beyond(0.99), 0u);
+  for (int i = 0; i < 100; ++i) {
+    core::ServeBatchStats b;
+    b.latency_s = static_cast<double>((i * 37) % 100 + 1);
+    r.batches.push_back(b);
+  }
+  EXPECT_EQ(r.latency_percentile_s(0.50), 50.0);
+  EXPECT_EQ(r.latency_samples_beyond(0.50), 50u);
+  EXPECT_EQ(r.latency_percentile_s(0.90), 90.0);
+  EXPECT_EQ(r.latency_samples_beyond(0.90), 10u);
+  EXPECT_EQ(r.p99_latency_s(), 99.0);
+  EXPECT_EQ(r.latency_samples_beyond(0.99), 1u);
+  EXPECT_EQ(r.latency_samples_beyond(1.0), 0u);
+  EXPECT_EQ(r.latency_samples_beyond(0.0), 99u);
+  // Two batches (64 queries at batch 32): p99 rests on one sample.
+  r.batches.resize(2);
+  EXPECT_EQ(r.latency_samples_beyond(0.99), 1u);
 }
 
 TEST(Serve, PredictionsAreLearned) {
@@ -211,6 +220,12 @@ TEST(Serve, ReportJsonRoundTrip) {
   EXPECT_EQ(back.train_wall_s, report.train_wall_s);
   EXPECT_EQ(back.serve_wall_s, report.serve_wall_s);
   EXPECT_EQ(back.timing, report.timing);
+  EXPECT_GT(report.load.latency_s, 0.0);
+  EXPECT_GT(report.load.feature_bytes, 0);
+  EXPECT_EQ(back.load.latency_s, report.load.latency_s);
+  EXPECT_EQ(back.load.comm_s, report.load.comm_s);
+  EXPECT_EQ(back.load.feature_bytes, report.load.feature_bytes);
+  EXPECT_EQ(back.load.control_bytes, report.load.control_bytes);
   ASSERT_EQ(back.batches.size(), report.batches.size());
   for (std::size_t i = 0; i < report.batches.size(); ++i) {
     EXPECT_EQ(back.batches[i].latency_s, report.batches[i].latency_s);
@@ -229,9 +244,40 @@ TEST(Serve, ReportJsonRoundTrip) {
   EXPECT_EQ(scfg_back.record_logits, scfg.record_logits);
 }
 
+TEST(Serve, LegacyReportJsonReadsWithoutLoad) {
+  // Reports written when every batch ran its own forward carry per-batch
+  // halo-cache counters and no "load" row: they still parse, the cache
+  // keys are ignored and the load row reads back as zeros.
+  const auto r = api::serve_report_from_json_string(R"({
+    "method": "bns", "dataset": "legacy",
+    "batch_size": 2, "num_batches": 1, "num_classes": 3,
+    "train_wall_s": 0.5, "serve_wall_s": 0.25,
+    "batches": [{"latency_s": 0.125, "comm_s": 0.0625,
+                 "feature_bytes": 4096, "control_bytes": 64,
+                 "cache_hit_rows": 7, "cache_miss_rows": 1,
+                 "bytes_saved": 896}],
+    "queries": [3, 9], "predictions": [0, 2],
+    "derived": {"total_queries": 2, "qps": 16.0,
+                "cache_hit_rows": 7, "cache_miss_rows": 1,
+                "cache_bytes_saved": 896, "cache_hit_rate": 0.875}
+  })");
+  EXPECT_EQ(r.load.latency_s, 0.0);
+  EXPECT_EQ(r.load.comm_s, 0.0);
+  EXPECT_EQ(r.load.feature_bytes, 0);
+  EXPECT_EQ(r.load.control_bytes, 0);
+  ASSERT_EQ(r.batches.size(), 1u);
+  EXPECT_EQ(r.batches[0].latency_s, 0.125);
+  EXPECT_EQ(r.batches[0].comm_s, 0.0625);
+  EXPECT_EQ(r.batches[0].feature_bytes, 4096);
+  EXPECT_EQ(r.batches[0].control_bytes, 64);
+  EXPECT_EQ(r.queries, (std::vector<NodeId>{3, 9}));
+  EXPECT_EQ(r.predictions, (std::vector<int>{0, 2}));
+  EXPECT_EQ(r.qps(), 16.0);
+}
+
 TEST(Serve, MailboxDeadRankUnwindsMidStream) {
-  // One rank dies before batch 0; sibling rank threads blocked in the
-  // serve exchange must unwind via the fabric shutdown, and serve() must
+  // One rank dies just before the table build's exchange; sibling rank
+  // threads blocked in that exchange must unwind via the fabric shutdown, and serve() must
   // rethrow the root cause. The alarm turns a regression into a loud
   // SIGALRM instead of a silent CI timeout.
   const Dataset ds = small_dataset(101);

@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -118,6 +120,40 @@ TEST(FrameCodec, CorruptMagicThrows) {
   dec.feed(bytes.data(), bytes.size());
   Frame out;
   EXPECT_THROW((void)dec.pop(out), CheckError);
+}
+
+TEST(FrameCodec, OversizedLengthIsANamedCheck) {
+  // A hostile 64-bit payload length must fail the named bound as soon as
+  // its header arrives: not wrap the "whole frame buffered?" comparison
+  // into a reversed payload range, and not buffer without limit while
+  // waiting for a payload that never comes.
+  const auto with_length = [](std::uint64_t nbytes) {
+    auto bytes = comm::encode_frame(make_frame(FrameKind::kFloats, 0, 8));
+    std::memcpy(bytes.data() + 12, &nbytes, sizeof(nbytes));
+    return bytes;
+  };
+  for (const std::uint64_t nbytes :
+       {std::numeric_limits<std::uint64_t>::max() - 5,
+        comm::kMaxFramePayloadBytes + 1}) {
+    const auto bytes = with_length(nbytes);
+    FrameDecoder dec;
+    dec.feed(bytes.data(), bytes.size());
+    Frame out;
+    try {
+      (void)dec.pop(out);
+      FAIL() << "length " << nbytes << " was not rejected";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("kMaxFramePayloadBytes"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The cap itself is a legal length: the decoder just waits for more.
+  const auto at_cap = with_length(comm::kMaxFramePayloadBytes);
+  FrameDecoder dec;
+  dec.feed(at_cap.data(), at_cap.size());
+  Frame out;
+  EXPECT_FALSE(dec.pop(out));
 }
 
 TEST(FrameCodec, WireConversionRoundTrips) {
