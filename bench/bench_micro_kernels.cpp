@@ -1,10 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the kernels the trainer spends
 // its time in: GEMM, mean aggregation, boundary sampling/compaction, and
-// the METIS-like partitioner.
+// the METIS-like partitioner. GEMM rows report GFLOP/s and %peak_muladd;
+// the run context names the dispatched ISA (kernel_isa) and the peak.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include "common/thread_pool.hpp"
 #include "core/boundary_sampler.hpp"
@@ -19,25 +23,108 @@ namespace {
 
 using namespace bnsgcn;
 
+// GEMM throughput as GFLOP/s and as a share of one lane's nominal peak for
+// the dispatched clone. The panel never contracts to FMA (-ffp-contract=off
+// keeps the scalar kernels' bits), so its peak is one vector multiply plus
+// one vector add per cycle: SIMD width × 2 flops × nominal clock.
+double nominal_ghz() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("cpu MHz", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon != std::string::npos)
+      return std::strtod(line.c_str() + colon + 1, nullptr) / 1000.0;
+  }
+  return 0.0; // unknown: the %peak counter is left out
+}
+
+double lane_peak_gflops() {
+  static const double peak = [] {
+    const std::string isa = ops::kernel_isa();
+    const int width = isa == "avx512f" ? 16 : isa == "avx2" ? 8 : 4;
+    return width * 2.0 * nominal_ghz();
+  }();
+  return peak;
+}
+
+/// Sets GFLOP/s and %peak_muladd (against `lanes` lanes' peak; lanes
+/// beyond the core count add no peak).
+void set_gemm_counters(benchmark::State& state, double flops_per_iter,
+                       int lanes = 1) {
+  using benchmark::Counter;
+  const double gflop =
+      flops_per_iter * static_cast<double>(state.iterations()) * 1e-9;
+  state.counters["GFLOP/s"] = Counter(gflop, Counter::kIsRate);
+  const int cores = std::min(lanes, common::ThreadPool::hardware_budget());
+  if (lane_peak_gflops() > 0.0)
+    state.counters["%peak_muladd"] = Counter(
+        100.0 * gflop / (lane_peak_gflops() * cores), Counter::kIsRate);
+}
+
+// The three GEMMs at the SAGE layer shapes: args are (n rows, d), with
+// d = 64 a hidden layer and d = 256 the layer-0 input width.
+//   gemm_nn: forward transform  (n × d) · (d × 64)
+//   gemm_tn: weight gradient    (n × d)ᵀ · (n × 64)
+//   gemm_nt: input gradient     (n × 64) · (d × 64)ᵀ
 void BM_GemmNN(benchmark::State& state) {
   const auto n = static_cast<std::int64_t>(state.range(0));
+  const auto d = static_cast<std::int64_t>(state.range(1));
   Rng rng(1);
-  Matrix a(n, 64), b(64, 64), c(n, 64);
+  Matrix a(n, d), b(d, 64), c(n, 64);
   a.randomize_gaussian(rng, 1.0f);
   b.randomize_gaussian(rng, 1.0f);
   for (auto _ : state) {
     ops::gemm_nn(a, b, c);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n * 64 * 64 * 2);
+  set_gemm_counters(state, 2.0 * static_cast<double>(n * d * 64));
 }
-BENCHMARK(BM_GemmNN)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_GemmNN)
+    ->ArgsProduct({{1024, 8192}, {64, 256}})
+    ->ArgNames({"n", "d"});
 
-// The thread-pool sweep: the same kernels at K ∈ {1,2,4,8} lanes. K=1 rows
-// are the before (bit-for-bit the scalar kernels — the serial fast path
-// never touches the pool); higher-K rows the after. items_per_second is the
-// comparison axis; outputs stay bit-identical across the whole sweep (the
-// determinism contract in common/thread_pool.hpp), which test_ops pins.
+void BM_GemmTN(benchmark::State& state) {
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  const auto d = static_cast<std::int64_t>(state.range(1));
+  Rng rng(1);
+  Matrix a(n, d), b(n, 64), c(d, 64);
+  a.randomize_gaussian(rng, 1.0f);
+  b.randomize_gaussian(rng, 1.0f);
+  for (auto _ : state) {
+    ops::gemm_tn(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  set_gemm_counters(state, 2.0 * static_cast<double>(n * d * 64));
+}
+BENCHMARK(BM_GemmTN)
+    ->ArgsProduct({{1024, 8192}, {64, 256}})
+    ->ArgNames({"n", "d"});
+
+void BM_GemmNT(benchmark::State& state) {
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  const auto d = static_cast<std::int64_t>(state.range(1));
+  Rng rng(1);
+  Matrix a(n, 64), b(d, 64), c(n, d);
+  a.randomize_gaussian(rng, 1.0f);
+  b.randomize_gaussian(rng, 1.0f);
+  for (auto _ : state) {
+    ops::gemm_nt(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  set_gemm_counters(state, 2.0 * static_cast<double>(n * d * 64));
+}
+BENCHMARK(BM_GemmNT)
+    ->ArgsProduct({{1024, 8192}, {64, 256}})
+    ->ArgNames({"n", "d"});
+
+// The thread-pool sweep: the same kernels at K ∈ {1,2,4,8} lanes, timed on
+// the wall clock (the pool's helpers do not bill the calling thread's CPU
+// time). Outputs stay bit-identical across the whole sweep (the determinism
+// contract in common/thread_pool.hpp), which test_ops pins.
 void BM_GemmNNThreads(benchmark::State& state) {
   const auto n = static_cast<std::int64_t>(state.range(0));
   const auto k = static_cast<int>(state.range(1));
@@ -49,13 +136,15 @@ void BM_GemmNNThreads(benchmark::State& state) {
   for (auto _ : state) {
     ops::gemm_nn(a, b, c);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   common::set_ops_threads(1);
-  state.SetItemsProcessed(state.iterations() * n * 64 * 64 * 2);
+  set_gemm_counters(state, 2.0 * static_cast<double>(n * 64 * 64), k);
 }
 BENCHMARK(BM_GemmNNThreads)
     ->ArgsProduct({{1024, 8192}, {1, 2, 4, 8}})
-    ->ArgNames({"n", "threads"});
+    ->ArgNames({"n", "threads"})
+    ->UseRealTime();
 
 void BM_GemmTNThreads(benchmark::State& state) {
   const auto n = static_cast<std::int64_t>(state.range(0));
@@ -68,13 +157,15 @@ void BM_GemmTNThreads(benchmark::State& state) {
   for (auto _ : state) {
     ops::gemm_tn(a, b, c);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   common::set_ops_threads(1);
-  state.SetItemsProcessed(state.iterations() * n * 256 * 64 * 2);
+  set_gemm_counters(state, 2.0 * static_cast<double>(n * 256 * 64), k);
 }
 BENCHMARK(BM_GemmTNThreads)
     ->ArgsProduct({{8192}, {1, 2, 4, 8}})
-    ->ArgNames({"n", "threads"});
+    ->ArgNames({"n", "threads"})
+    ->UseRealTime();
 
 // The chunked-stream F1 transform, two ways: the old staged path (copy each
 // row chunk to a scratch block, full gemm_nn on the block, copy the result
@@ -96,8 +187,9 @@ void BM_GemmChunkedStaged(benchmark::State& state) {
       std::copy(tmp.data(), tmp.data() + tmp.size(), c.data() + r0 * 64);
     }
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n * 64 * 64 * 2);
+  set_gemm_counters(state, 2.0 * static_cast<double>(n * 64 * 64));
 }
 BENCHMARK(BM_GemmChunkedStaged)->Arg(1024)->Arg(8192);
 
@@ -113,8 +205,9 @@ void BM_GemmChunkedRows(benchmark::State& state) {
       ops::gemm_nn_rows(a, b, c, r0, std::min(n, r0 + chunk));
     }
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n * 64 * 64 * 2);
+  set_gemm_counters(state, 2.0 * static_cast<double>(n * 64 * 64));
 }
 BENCHMARK(BM_GemmChunkedRows)->Arg(1024)->Arg(8192);
 
@@ -215,4 +308,18 @@ BENCHMARK(BM_MetisLike)->Arg(8192)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Provenance: which GEMM clone ran, and the peak the %peak_muladd
+  // counters divide by. Results are bit-identical on every clone.
+  benchmark::AddCustomContext("kernel_isa", ops::kernel_isa());
+  benchmark::AddCustomContext(
+      "lane_peak_gflops_muladd",
+      std::to_string(lane_peak_gflops()) +
+          " (SIMD width x 2 flops x nominal clock " +
+          std::to_string(nominal_ghz()) + " GHz)");
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -26,6 +26,7 @@
 #include "graph/dataset.hpp"
 #include "partition/metis_like.hpp"
 #include "partition/stats.hpp"
+#include "tensor/ops.hpp"
 
 namespace bnsgcn::bench {
 
@@ -179,6 +180,9 @@ class ReportSink {
     json::Value doc = json::Value::object();
     doc.set("artifact", artifact_);
     doc.set("scale", opts_.scale);
+    // Provenance only: the GEMM clones give identical bits on every ISA,
+    // so bench_replay compares across machines without reading this.
+    doc.set("kernel_isa", ops::kernel_isa());
     json::Value runs = json::Value::array();
     for (auto& row : rows_) runs.push_back(std::move(row));
     doc.set("runs", std::move(runs));

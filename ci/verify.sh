@@ -24,6 +24,17 @@ cmake --build build -j
 # legitimate exception carries an in-source `lint: allow(...)` annotation.
 ./build/tools/lint_determinism src
 
+# Contraction guard: the GEMM panel's clones (tensor/gemm_panel.hpp) give
+# the scalar kernels' bits on every ISA only because the compiler never
+# fuses a multiply and an add (-ffp-contract=off, root CMakeLists.txt). Any
+# FMA instruction in the library means that pin was dropped.
+objdump -d build/libbnsgcn.a > build/libbnsgcn.disasm
+if grep -qE '\bvfn?m(add|sub)' build/libbnsgcn.disasm; then
+  echo "error: FMA instructions in libbnsgcn.a; -ffp-contract=off was lost" >&2
+  grep -E '\bvfn?m(add|sub)' build/libbnsgcn.disasm | head >&2
+  exit 1
+fi
+
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 ctest --test-dir build --output-on-failure -R test_overlap
 
@@ -118,6 +129,8 @@ ctest --test-dir build --output-on-failure -R test_serve
 #   tsan    — the kernel thread pool and everything layered on it must be
 #             race-free, not just bit-exact (test_trainer runs 3 ranks × 4
 #             oversubscribed lanes — real interleaving on a one-core runner).
+#             The nested-call test reruns 50 times: a nested parallel_for
+#             from the caller's own lane once raced only intermittently.
 #   asan    — heap misuse and leaks (LeakSanitizer rides along on Linux).
 #   ubsan   — -fno-sanitize-recover=all, so any UB report is the exit code.
 #
@@ -126,7 +139,7 @@ ctest --test-dir build --output-on-failure -R test_serve
 # invocation is the gate.
 INSTRUMENTED_LEGS=(
   "checked|test_ops test_transport test_trainer test_schedule_fuzz bench_overlap|./build-checked/bench/bench_overlap --scale 0.2 --epochs 2 --json build-checked/overlap_smoke.json"
-  "tsan|test_thread_pool test_ops test_trainer test_schedule_fuzz|"
+  "tsan|test_thread_pool test_ops test_trainer test_schedule_fuzz|./build-tsan/tests/test_thread_pool --gtest_filter=ThreadPool.NestedCallsRunInlineInsteadOfDeadlocking --gtest_repeat=50"
   "asan|test_ops test_transport test_trainer test_serve test_schedule_fuzz bench_overlap|./build-asan/bench/bench_overlap --scale 0.2 --epochs 2 --json build-asan/overlap_smoke.json"
   "ubsan|test_ops test_transport test_trainer test_schedule_fuzz|"
 )

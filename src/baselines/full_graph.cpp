@@ -47,11 +47,9 @@ api::RunReport train_full_graph(const Dataset& ds,
 
     for (auto& l : layers) l->zero_grads();
     Matrix grad = std::move(dlogits);
-    for (std::size_t l = layers.size(); l-- > 0;) {
-      Matrix dfeats = layers[l]->backward(ctx.adj, grad, ctx.inv_deg);
-      if (l == 0) break;
-      grad = std::move(dfeats);
-    }
+    for (std::size_t l = layers.size(); l-- > 1;)
+      grad = layers[l]->backward(ctx.adj, grad, ctx.inv_deg);
+    layers[0]->backward_params_only(ctx.adj, grad, ctx.inv_deg);
     adam.step();
 
     core::EpochBreakdown eb;

@@ -99,12 +99,10 @@ api::RunReport run_minibatch_training(
 
       for (auto& l : layers) l->zero_grads();
       Matrix grad = std::move(dlogits);
-      for (std::size_t l = layers.size(); l-- > 0;) {
-        Matrix dfeats =
-            layers[l]->backward(batch.adjs[l], grad, batch.inv_deg[l]);
-        if (l == 0) break;
-        grad = std::move(dfeats);
+      for (std::size_t l = layers.size(); l-- > 1;) {
+        grad = layers[l]->backward(batch.adjs[l], grad, batch.inv_deg[l]);
       }
+      layers[0]->backward_params_only(batch.adjs[0], grad, batch.inv_deg[0]);
       adam.step();
     }
     result.train_loss.push_back(counted > 0 ? epoch_loss / counted : 0.0);

@@ -17,6 +17,7 @@ namespace bnsgcn::common {
 namespace {
 
 thread_local bool t_on_worker = false;
+thread_local bool t_draining_own_job = false; // caller inside its own job
 thread_local int t_ops_threads = 1;
 
 } // namespace
@@ -103,6 +104,7 @@ void atfork_child() {
   // never be touched again.
   g_pool.store(nullptr, std::memory_order_release);
   t_on_worker = false;
+  t_draining_own_job = false;
 }
 
 } // namespace
@@ -148,12 +150,14 @@ int ThreadPool::hardware_budget() {
 
 bool ThreadPool::on_worker_thread() { return t_on_worker; }
 
+bool ThreadPool::in_lane() { return t_on_worker || t_draining_own_job; }
+
 void ThreadPool::parallel_for(
     std::int64_t n, std::int64_t block, int threads,
     const std::function<void(std::int64_t, std::int64_t)>& body) {
   BNSGCN_CHECK(n >= 0 && block >= 1);
   if (n == 0) return;
-  if (threads <= 1 || n <= block || t_on_worker) {
+  if (threads <= 1 || n <= block || in_lane()) {
     for (std::int64_t i0 = 0; i0 < n; i0 += block)
       body(i0, i0 + block < n ? i0 + block : n);
     return;
@@ -170,8 +174,14 @@ void ThreadPool::parallel_for(
     impl_->wake.notify_all();
   }
   // The caller is one of the lanes: it races the workers for blocks, so a
-  // parallel_for never blocks waiting for a worker to become free.
+  // parallel_for never blocks waiting for a worker to become free. While it
+  // drains, it is a lane like any worker: a nested parallel_for from one of
+  // its blocks runs inline on it, rather than publishing a second job that
+  // the helpers would run concurrently with the block that called it.
+  // (run_blocks catches every exception, so the flag is always restored.)
+  t_draining_own_job = true;
   job.run_blocks();
+  t_draining_own_job = false;
   {
     std::unique_lock<std::mutex> lock(impl_->mu);
     impl_->job = nullptr; // late workers see job==nullptr and keep waiting

@@ -44,8 +44,9 @@ class ThreadPool {
   /// Run body(begin, end) for every block [i*block, min((i+1)*block, n))
   /// of [0, n), using the calling thread plus up to threads-1 pool
   /// workers. The caller participates (threads == 1, n <= block, or a
-  /// nested call from inside a pool worker all degrade to a plain serial
-  /// loop in ascending block order). Blocks are claimed from an atomic
+  /// nested call from inside any lane — a pool worker or the caller
+  /// draining its own job — all degrade to a plain serial loop in
+  /// ascending block order). Blocks are claimed from an atomic
   /// cursor; see the class comment for why that preserves bit-exactness.
   /// The first exception thrown by any block is rethrown on the calling
   /// thread after every block has finished (no block is abandoned
@@ -53,9 +54,14 @@ class ThreadPool {
   void parallel_for(std::int64_t n, std::int64_t block, int threads,
                     const std::function<void(std::int64_t, std::int64_t)>& body);
 
-  /// True on a pool worker thread (the reentrancy guard parallel_for uses
-  /// to run nested calls inline instead of deadlocking on its own pool).
+  /// True on a pool worker thread.
   [[nodiscard]] static bool on_worker_thread();
+
+  /// True while this thread runs blocks of a parallel_for: on a pool
+  /// worker, or on the caller while it drains its own job. The reentrancy
+  /// guard: a nested call from a lane runs inline, so it neither deadlocks
+  /// on the pool nor shares its blocks with other lanes.
+  [[nodiscard]] static bool in_lane();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -104,7 +110,7 @@ void set_ops_threads(int k);
 template <typename Body>
 void for_blocks(std::int64_t n, std::int64_t block, Body&& body) {
   const int k = ops_threads();
-  if (k <= 1 || n <= block || ThreadPool::on_worker_thread()) {
+  if (k <= 1 || n <= block || ThreadPool::in_lane()) {
     for (std::int64_t i0 = 0; i0 < n; i0 += block)
       body(i0, i0 + block < n ? i0 + block : n);
     return;

@@ -244,15 +244,18 @@ TrainResult run_cagnet_proxy(const Dataset& ds, const Partitioning& part,
           }
           for (auto& l : layers) l->zero_grads();
           Matrix grad = std::move(dlogits);
-          for (int l = cfg.num_layers - 1; l >= 0; --l) {
+          for (int l = cfg.num_layers - 1; l >= 1; --l) {
             Matrix dfull;
             {
               ScopedTimer t(comp_acc);
               dfull = layers[static_cast<std::size_t>(l)]->backward(
                   st.adj, grad, st.inv_deg);
             }
-            if (l == 0) break;
             grad = reduce_scatter(dfull);
+          }
+          {
+            ScopedTimer t(comp_acc);
+            layers[0]->backward_params_only(st.adj, grad, st.inv_deg);
           }
           auto flat = nn::flatten_grads(layers);
           ep.allreduce_sum(flat, TrafficClass::kGradient);

@@ -279,6 +279,11 @@ Matrix Layer::backward_inner(const BipartiteCsr&, std::span<const float>) {
   return {};
 }
 
+void Layer::backward_params_only(const BipartiteCsr& adj, const Matrix& dout,
+                                 std::span<const float> inv_deg) {
+  (void)backward(adj, dout, inv_deg);
+}
+
 void Layer::backward_params(const BipartiteCsr&) {
   // Default: nothing deferred — a phased layer that accumulates its
   // parameter gradients inside backward_inner stays correct.

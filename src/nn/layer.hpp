@@ -139,8 +139,8 @@ void mean_aggregate_backward_inner(const BipartiteCsr& adj, const Matrix& dout,
 /// Beyond the begin→chunk/fold→finish→backward ordering it also enforces
 /// the chunk contract: disjoint ascending ranges covering exactly
 /// [0, n_dst) by finish time. forward_inner_begin is accepted from the
-/// post-finish state because a fused backward() (layer 0 of the backward
-/// pipeline) never reports to the machine.
+/// post-finish state because layer 0 of the backward pipeline runs the
+/// fused backward_params_only(), which never reports to the machine.
 class PhaseChecker {
  public:
   void on_forward_begin(NodeId n_dst) {
@@ -222,6 +222,14 @@ class Layer {
   /// parameter gradients internally.
   virtual Matrix backward(const BipartiteCsr& adj, const Matrix& dout,
                           std::span<const float> inv_deg) = 0;
+
+  /// backward() for a caller that discards dfeats (the first layer, whose
+  /// input is the raw features): accumulates the same parameter gradients,
+  /// bit for bit, and may skip computing the input gradient. The default
+  /// runs backward() and drops its result.
+  virtual void backward_params_only(const BipartiteCsr& adj,
+                                    const Matrix& dout,
+                                    std::span<const float> inv_deg);
 
   // --- Split-phase protocol (communication–computation overlap) ----------
   // A layer returning true from supports_phased() implements the phase

@@ -139,12 +139,7 @@ Matrix SageLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
   // are deferred to backward_inner (the in-flight phase) — they feed
   // nothing until the epoch-end allreduce.
   g_cache_ = dout;
-  if (cached_training_ && !dropout_mask_.empty()) {
-    ops::dropout_backward(g_cache_, dropout_mask_);
-  }
-  if (opts_.relu) {
-    ops::relu_backward(g_cache_, relu_mask_);
-  }
+  activation_backward(g_cache_);
   Matrix du(adj.n_dst, 2 * d_in_);
   ops::gemm_nt(g_cache_, w_, du);
   ops::split_cols(du, dz_cache_, dself_cache_, d_in_);
@@ -182,17 +177,30 @@ void SageLayer::release_training_state() {
   g_cache_.resize(0, 0);
 }
 
-Matrix SageLayer::backward(const BipartiteCsr& adj, const Matrix& dout,
-                           std::span<const float> inv_deg) {
-  BNSGCN_CHECK(dout.rows() == adj.n_dst && dout.cols() == d_out_);
-  Matrix g = dout; // own a mutable copy of the incoming gradient
-
+void SageLayer::activation_backward(Matrix& g) const {
   if (cached_training_ && !dropout_mask_.empty()) {
     ops::dropout_backward(g, dropout_mask_);
   }
   if (opts_.relu) {
     ops::relu_backward(g, relu_mask_);
   }
+}
+
+void SageLayer::backward_params_only(const BipartiteCsr& adj,
+                                     const Matrix& dout,
+                                     std::span<const float>) {
+  BNSGCN_CHECK(dout.rows() == adj.n_dst && dout.cols() == d_out_);
+  Matrix g = dout;
+  activation_backward(g);
+  ops::gemm_tn(u_cache_, g, dw_, 1.0f, 1.0f);
+  ops::col_sum(g, db_);
+}
+
+Matrix SageLayer::backward(const BipartiteCsr& adj, const Matrix& dout,
+                           std::span<const float> inv_deg) {
+  BNSGCN_CHECK(dout.rows() == adj.n_dst && dout.cols() == d_out_);
+  Matrix g = dout; // own a mutable copy of the incoming gradient
+  activation_backward(g);
 
   // Parameter gradients (accumulated: trainer zeroes between iterations).
   ops::gemm_tn(u_cache_, g, dw_, 1.0f, 1.0f);

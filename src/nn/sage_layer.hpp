@@ -23,6 +23,10 @@ class SageLayer final : public Layer {
                  std::span<const float> inv_deg, bool training) override;
   Matrix backward(const BipartiteCsr& adj, const Matrix& dout,
                   std::span<const float> inv_deg) override;
+  /// Only dW/db: the activation masks, then gemm_tn + col_sum — the fused
+  /// backward's parameter half, without its gemm_nt and scatter.
+  void backward_params_only(const BipartiteCsr& adj, const Matrix& dout,
+                            std::span<const float> inv_deg) override;
 
   // Split-phase protocol (see Layer): the mean aggregator decomposes into
   // an inner-source partial sum (chunked by destination row — each row's
@@ -61,6 +65,9 @@ class SageLayer final : public Layer {
   void release_training_state() override;
 
  private:
+  /// g *= the cached dropout and ReLU masks: dout → pre-activation grad.
+  void activation_backward(Matrix& g) const;
+
   Options opts_;
   Matrix w_;  // (2*d_in, d_out)
   Matrix b_;  // (1, d_out)

@@ -2,20 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/thread_pool.hpp"
+#include "tensor/gemm_panel.hpp"
 
 namespace bnsgcn::ops {
 
 namespace {
 
-// Block sizes chosen for L1/L2 friendliness at the feature widths used by the
-// models (64-612 columns). Correctness does not depend on them; neither does
-// bitwise output — kBlockM is also the parallel_for grain for the row-split
-// kernels, and every output element's accumulation runs to completion inside
-// one block (common/thread_pool.hpp, determinism contract).
+// Row grain of the row-split kernels: also the parallel_for block, and
+// every output element's accumulation runs to completion inside one block
+// (common/thread_pool.hpp, determinism contract), so neither the thread
+// count nor this value changes bits.
 constexpr std::int64_t kBlockM = 64;
-constexpr std::int64_t kBlockK = 256;
 
 // Column grain for the scatter-shaped kernels (scatter_add_rows here, the
 // halo folds in nn/layer.cpp): destination rows repeat, so those kernels
@@ -23,7 +23,49 @@ constexpr std::int64_t kBlockK = 256;
 // owns a disjoint column range, keeping the per-element entry order intact.
 constexpr std::int64_t kBlockCols = 64;
 
+// The shipped panel: one source, one clone per ISA, picked at load time by
+// the CPU. The clones produce identical bits (tensor/gemm_panel.hpp).
+__attribute__((target_clones("avx512f", "avx2", "default"))) void
+dispatched_panel(const detail::Spec& s, std::int64_t r0, std::int64_t r1) {
+  detail::run(s, r0, r1);
+}
+
+// Function multiversioning over the same targets, so the name reports the
+// clone the loader picked for dispatched_panel.
+__attribute__((target("default"))) const char* dispatched_isa() {
+  return "default";
+}
+__attribute__((target("avx2"))) const char* dispatched_isa() { return "avx2"; }
+__attribute__((target("avx512f"))) const char* dispatched_isa() {
+  return "avx512f";
+}
+
+// beta * C over rows [r0, r1) of a row-major C with ldc columns.
+void scale_rows(float* pc, std::int64_t ldc, std::int64_t r0, std::int64_t r1,
+                float beta) {
+  if (beta == 0.0f) {
+    std::fill(pc + r0 * ldc, pc + r1 * ldc, 0.0f);
+  } else if (beta != 1.0f) {
+    for (std::int64_t t = r0 * ldc; t < r1 * ldc; ++t) pc[t] *= beta;
+  }
+}
+
+// The last, partial kCols panel of a row-major B (steps × n), zero-padded
+// to kCols columns; empty when n is a multiple of kCols.
+std::vector<float> pack_tail(const float* pb, std::int64_t steps,
+                             std::int64_t n) {
+  const std::int64_t j0 = n - n % detail::kCols;
+  std::vector<float> tail;
+  if (j0 == n) return tail;
+  tail.assign(static_cast<std::size_t>(steps * detail::kCols), 0.0f);
+  for (std::int64_t t = 0; t < steps; ++t)
+    std::copy(pb + t * n + j0, pb + t * n + n, tail.data() + t * detail::kCols);
+  return tail;
+}
+
 } // namespace
+
+const char* kernel_isa() { return dispatched_isa(); }
 
 void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
              float beta) {
@@ -33,101 +75,83 @@ void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
 
 void gemm_nn_rows(const Matrix& a, const Matrix& b, Matrix& c,
                   std::int64_t r0, std::int64_t r1, float alpha, float beta) {
-  const std::int64_t k = a.cols(), n = b.cols();
-  BNSGCN_CHECK(b.rows() == k);
-  BNSGCN_CHECK(c.cols() == n);
-  BNSGCN_CHECK(0 <= r0 && r0 <= r1 && r1 <= a.rows() && r1 <= c.rows());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  // The k-accumulation order per row is fixed by the k0/kk loops alone, so
-  // any [r0, r1) slicing produces bit-identical rows to the full call — and
-  // the same argument makes the kBlockM row blocks thread-safe lanes: each
-  // owns disjoint rows of C and computes them in the serial kernel's order.
-  // Blocks stay anchored at r0, matching the serial i0 tiling exactly.
-  common::for_blocks(r1 - r0, kBlockM, [&](std::int64_t b0, std::int64_t b1) {
-    const std::int64_t i0 = r0 + b0;
-    const std::int64_t i1 = r0 + b1;
-    if (beta == 0.0f) {
-      std::fill(pc + i0 * n, pc + i1 * n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::int64_t t = i0 * n; t < i1 * n; ++t) pc[t] *= beta;
-    }
-    for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
-      const std::int64_t k1 = std::min(k0 + kBlockK, k);
-      for (std::int64_t i = i0; i < i1; ++i) {
-        float* crow = pc + i * n;
-        for (std::int64_t kk = k0; kk < k1; ++kk) {
-          const float av = alpha * pa[i * k + kk];
-          if (av == 0.0f) continue;
-          const float* brow = pb + kk * n;
-          for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  });
+  detail::gemm_nn_rows_with(dispatched_panel, a, b, c, r0, r1, alpha, beta);
 }
 
 void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
              float beta) {
-  const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  BNSGCN_CHECK(b.rows() == m);
-  BNSGCN_CHECK(c.rows() == k && c.cols() == n);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  // C[kk,j] += A[i,kk] * B[i,j]: stream rows of A and B together. Lanes
-  // split the kk axis (disjoint rows of C); the i loop stays outermost
-  // inside each lane, so every C element still accumulates in ascending-i
-  // order with the same av==0 skips — bit-identical for any lane count.
-  // (The skip must be preserved, not just cheap: adding a 0.0f term is not
-  // bitwise-neutral when the accumulator holds -0.0f.)
-  common::for_blocks(k, kBlockM, [&](std::int64_t kk0, std::int64_t kk1) {
-    if (beta == 0.0f) {
-      std::fill(pc + kk0 * n, pc + kk1 * n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::int64_t t = kk0 * n; t < kk1 * n; ++t) pc[t] *= beta;
-    }
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float* arow = pa + i * k;
-      const float* brow = pb + i * n;
-      for (std::int64_t kk = kk0; kk < kk1; ++kk) {
-        const float av = alpha * arow[kk];
-        if (av == 0.0f) continue;
-        float* crow = pc + kk * n;
-        for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
+  detail::gemm_tn_with(dispatched_panel, a, b, c, alpha, beta);
 }
 
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
              float beta) {
+  detail::gemm_nt_with(dispatched_panel, a, b, c, alpha, beta);
+}
+
+void detail::gemm_nn_rows_with(PanelFn panel, const Matrix& a,
+                               const Matrix& b, Matrix& c, std::int64_t r0,
+                               std::int64_t r1, float alpha, float beta) {
+  const std::int64_t k = a.cols(), n = b.cols();
+  BNSGCN_CHECK(b.rows() == k);
+  BNSGCN_CHECK(c.cols() == n);
+  BNSGCN_CHECK(0 <= r0 && r0 <= r1 && r1 <= a.rows() && r1 <= c.rows());
+  // Row i of C: C[i,j] += (alpha*A[i,kk]) * B[kk,j], ascending kk, zero
+  // multipliers skipped. That order is per row, so any [r0, r1) slicing
+  // gives bit-identical rows to the full call, and the kBlockM row blocks
+  // (anchored at r0) are thread-safe lanes owning disjoint rows of C.
+  const std::vector<float> tail = pack_tail(b.data(), k, n);
+  const Spec s{.a = a.data(), .a_row = k, .a_step = 1, .b = b.data(),
+               .ldb = n, .b_tail = tail.data(), .ld_tail = kCols,
+               .c = c.data(), .ldc = n, .n = n, .steps = k, .alpha = alpha,
+               .dot = false};
+  common::for_blocks(r1 - r0, kBlockM, [&](std::int64_t b0, std::int64_t b1) {
+    scale_rows(c.data(), n, r0 + b0, r0 + b1, beta);
+    panel(s, r0 + b0, r0 + b1);
+  });
+}
+
+void detail::gemm_tn_with(PanelFn panel, const Matrix& a, const Matrix& b,
+                          Matrix& c, float alpha, float beta) {
+  const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
+  BNSGCN_CHECK(b.rows() == m);
+  BNSGCN_CHECK(c.rows() == k && c.cols() == n);
+  // C[kk,j] += (alpha*A[i,kk]) * B[i,j]: row kk of C takes its multipliers
+  // down column kk of A, ascending i, zero multipliers skipped. Lanes split
+  // the kk axis (disjoint rows of C); the i order is per element, so the
+  // result is bit-identical for any lane count.
+  const std::vector<float> tail = pack_tail(b.data(), m, n);
+  const Spec s{.a = a.data(), .a_row = 1, .a_step = k, .b = b.data(),
+               .ldb = n, .b_tail = tail.data(), .ld_tail = kCols,
+               .c = c.data(), .ldc = n, .n = n, .steps = m, .alpha = alpha,
+               .dot = false};
+  common::for_blocks(k, kBlockM, [&](std::int64_t kk0, std::int64_t kk1) {
+    scale_rows(c.data(), n, kk0, kk1, beta);
+    panel(s, kk0, kk1);
+  });
+}
+
+void detail::gemm_nt_with(PanelFn panel, const Matrix& a, const Matrix& b,
+                          Matrix& c, float alpha, float beta) {
   const std::int64_t m = a.rows(), n = a.cols(), k = b.rows();
   BNSGCN_CHECK(b.cols() == n);
   BNSGCN_CHECK(c.rows() == m && c.cols() == k);
-  const float* pa = a.data();
+  // C[i,j] += alpha * dot(A.row(i), B.row(j)), each dot from 0.0f in
+  // ascending t with no skip. B (the small weight matrix) is transposed
+  // once, zero-padded to whole kCols panels, so the dots of one C row run
+  // as vectors along j. Rows of C are independent: the row split is
+  // bit-stable.
+  const std::int64_t ldt = (k + kCols - 1) / kCols * kCols;
+  std::vector<float> bt(static_cast<std::size_t>(n * ldt), 0.0f);
   const float* pb = b.data();
-  float* pc = c.data();
-  // C[i,j] = dot(A.row(i), B.row(j)) — both walks are contiguous, and each
-  // output row is an independent set of local dot products, so the row
-  // split is trivially bit-stable.
+  for (std::int64_t j = 0; j < k; ++j)
+    for (std::int64_t t = 0; t < n; ++t) bt[t * ldt + j] = pb[j * n + t];
+  const Spec s{.a = a.data(), .a_row = n, .a_step = 1, .b = bt.data(),
+               .ldb = ldt, .b_tail = bt.data() + (k - k % kCols),
+               .ld_tail = ldt, .c = c.data(), .ldc = k, .n = k, .steps = n,
+               .alpha = alpha, .dot = true};
   common::for_blocks(m, kBlockM, [&](std::int64_t i0, std::int64_t i1) {
-    if (beta == 0.0f) {
-      std::fill(pc + i0 * k, pc + i1 * k, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::int64_t t = i0 * k; t < i1 * k; ++t) pc[t] *= beta;
-    }
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + i * n;
-      float* crow = pc + i * k;
-      for (std::int64_t j = 0; j < k; ++j) {
-        const float* brow = pb + j * n;
-        float acc = 0.0f;
-        for (std::int64_t t = 0; t < n; ++t) acc += arow[t] * brow[t];
-        crow[j] += alpha * acc;
-      }
-    }
+    scale_rows(c.data(), k, i0, i1, beta);
+    panel(s, i0, i1);
   });
 }
 

@@ -12,9 +12,16 @@ namespace bnsgcn::ops {
 // ---------------------------------------------------------------------------
 // GEMM family. All variants accumulate into a pre-shaped output:
 //   C = alpha * op(A) * op(B) + beta * C
-// Only the three shapes needed by the layers are provided; each is a blocked
-// triple loop tuned for row-major operands (no transposed memory walks).
+// Only the three shapes needed by the layers are provided. All three run one
+// register-blocked SIMD panel (tensor/gemm_panel.hpp), compiled per ISA and
+// picked at load time; every ISA gives the same bits as the scalar loops
+// (docs/ARCHITECTURE.md §6).
 // ---------------------------------------------------------------------------
+
+/// The ISA whose GEMM panel clone this process dispatched to: "avx512f",
+/// "avx2" or "default" (baseline x86-64). Informational only — results do
+/// not depend on it.
+[[nodiscard]] const char* kernel_isa();
 
 /// C[m,n] = alpha * A[m,k] * B[k,n] + beta * C
 void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,

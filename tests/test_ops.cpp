@@ -4,9 +4,16 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "nn/layer.hpp"
+#include "tensor/gemm_panel.hpp"
 #include "tensor/ops.hpp"
 
 namespace bnsgcn {
@@ -521,6 +528,299 @@ TEST(OpsThreadsParity, MeanAggregateFamily) {
       nn::mean_aggregate_finish(inv, out);
     });
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Bit-exact oracle for the SIMD GEMM panel. The ref_* functions are the
+// scalar loops the panel replaced, kept verbatim: they define the bits.
+// The shipped kernels (whatever clone this host dispatches to) and the
+// panel instantiated under each target_clones target must match them
+// byte for byte — on ragged shapes that leave partial tiles, partial
+// column panels and a partial step pass, on operands salted with ±0,
+// subnormals and ±inf, at 1 and 4 threads.
+// ---------------------------------------------------------------------------
+
+void ref_gemm_nn_rows(const Matrix& a, const Matrix& b, Matrix& c,
+                      std::int64_t r0, std::int64_t r1, float alpha,
+                      float beta) {
+  constexpr std::int64_t kBlockM = 64;
+  constexpr std::int64_t kBlockK = 256;
+  const std::int64_t k = a.cols(), n = b.cols();
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  for (std::int64_t i0 = r0; i0 < r1; i0 += kBlockM) {
+    const std::int64_t i1 = std::min(i0 + kBlockM, r1);
+    if (beta == 0.0f) {
+      std::fill(pc + i0 * n, pc + i1 * n, 0.0f);
+    } else if (beta != 1.0f) {
+      for (std::int64_t t = i0 * n; t < i1 * n; ++t) pc[t] *= beta;
+    }
+    for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
+      const std::int64_t k1 = std::min(k0 + kBlockK, k);
+      for (std::int64_t i = i0; i < i1; ++i) {
+        float* crow = pc + i * n;
+        for (std::int64_t kk = k0; kk < k1; ++kk) {
+          const float av = alpha * pa[i * k + kk];
+          if (av == 0.0f) continue;
+          const float* brow = pb + kk * n;
+          for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+        }
+      }
+    }
+  }
+}
+
+void ref_gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+                 float beta) {
+  const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  if (beta == 0.0f) {
+    std::fill(pc, pc + k * n, 0.0f);
+  } else if (beta != 1.0f) {
+    for (std::int64_t t = 0; t < k * n; ++t) pc[t] *= beta;
+  }
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = pa + i * k;
+    const float* brow = pb + i * n;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float av = alpha * arow[kk];
+      if (av == 0.0f) continue;
+      float* crow = pc + kk * n;
+      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+void ref_gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+                 float beta) {
+  const std::int64_t m = a.rows(), n = a.cols(), k = b.rows();
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  if (beta == 0.0f) {
+    std::fill(pc, pc + m * k, 0.0f);
+  } else if (beta != 1.0f) {
+    for (std::int64_t t = 0; t < m * k; ++t) pc[t] *= beta;
+  }
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = pa + i * n;
+    float* crow = pc + i * k;
+    for (std::int64_t j = 0; j < k; ++j) {
+      const float* brow = pb + j * n;
+      float acc = 0.0f;
+      for (std::int64_t t = 0; t < n; ++t) acc += arow[t] * brow[t];
+      crow[j] += alpha * acc;
+    }
+  }
+}
+
+// The panel compiled for each target_clones target, test-side: always_inline
+// pulls the one shared body into each target function.
+__attribute__((target("avx512f"))) void panel_avx512f(
+    const ops::detail::Spec& s, std::int64_t r0, std::int64_t r1) {
+  ops::detail::run(s, r0, r1);
+}
+__attribute__((target("avx2"))) void panel_avx2(const ops::detail::Spec& s,
+                                                std::int64_t r0,
+                                                std::int64_t r1) {
+  ops::detail::run(s, r0, r1);
+}
+void panel_default(const ops::detail::Spec& s, std::int64_t r0,
+                   std::int64_t r1) {
+  ops::detail::run(s, r0, r1);
+}
+
+struct PanelTarget {
+  const char* name;
+  ops::detail::PanelFn panel;
+};
+
+/// The clones this host can execute (the default clone always runs).
+std::vector<PanelTarget> runnable_targets() {
+  __builtin_cpu_init();
+  std::vector<PanelTarget> out;
+  if (__builtin_cpu_supports("avx512f"))
+    out.push_back({"avx512f", &panel_avx512f});
+  if (__builtin_cpu_supports("avx2")) out.push_back({"avx2", &panel_avx2});
+  out.push_back({"default", &panel_default});
+  return out;
+}
+
+constexpr std::int64_t kOracleDims[] = {1, 3, 15, 16, 17, 41, 64, 65, 130, 257};
+constexpr float kOracleAlphas[] = {1.0f, 0.5f, -2.0f};
+constexpr float kOracleBetas[] = {0.0f, 1.0f, 0.25f};
+constexpr int kOracleThreads[] = {1, 4};
+
+/// Gaussian values salted with +0, -0, subnormals and (rarely) ±inf.
+Matrix salted(std::int64_t rows, std::int64_t cols, Rng& rng) {
+  Matrix m(rows, cols);
+  m.randomize_gaussian(rng, 1.0f);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::int64_t i = 0; i < m.size(); ++i) {
+    const float u = rng.next_float();
+    float& v = m.data()[i];
+    if (u < 0.15f) {
+      v = 0.0f;
+    } else if (u < 0.25f) {
+      v = -0.0f;
+    } else if (u < 0.30f) {
+      v *= 1e-39f; // subnormal
+    } else if (u < 0.302f) {
+      v = inf;
+    } else if (u < 0.304f) {
+      v = -inf;
+    }
+  }
+  return m;
+}
+
+/// memcmp of the whole buffer (so rows a range call must not touch are
+/// checked too); reports the first differing element.
+::testing::AssertionResult same_bytes(const Matrix& got, const Matrix& want) {
+  if (got.size() == want.size() &&
+      std::memcmp(got.data(), want.data(),
+                  static_cast<std::size_t>(got.size()) * sizeof(float)) == 0)
+    return ::testing::AssertionSuccess();
+  for (std::int64_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    if (std::bit_cast<std::uint32_t>(got.data()[i]) !=
+        std::bit_cast<std::uint32_t>(want.data()[i]))
+      return ::testing::AssertionFailure()
+             << "first difference at flat index " << i << ": got "
+             << got.data()[i] << ", want " << want.data()[i];
+  }
+  return ::testing::AssertionFailure() << "sizes differ";
+}
+
+/// Runs `kernel(panel, c)` for the shipped dispatcher (panel == nullptr)
+/// and for every runnable clone, at each oracle thread count, each on a
+/// fresh copy of c0, and compares against `want`.
+template <typename Kernel>
+void expect_oracle_bits(const Matrix& c0, const Matrix& want,
+                        const std::string& what, Kernel&& kernel) {
+  static const std::vector<PanelTarget> targets = runnable_targets();
+  for (const int threads : kOracleThreads) {
+    common::set_ops_threads(threads);
+    Matrix got = c0;
+    kernel(nullptr, got);
+    EXPECT_TRUE(same_bytes(got, want))
+        << what << ", shipped (" << ops::kernel_isa() << "), " << threads
+        << " threads";
+    for (const PanelTarget& t : targets) {
+      Matrix got_t = c0;
+      kernel(t.panel, got_t);
+      EXPECT_TRUE(same_bytes(got_t, want))
+          << what << ", " << t.name << " clone, " << threads << " threads";
+    }
+  }
+  common::set_ops_threads(1);
+}
+
+/// Visits every (outer, inner) pair of oracle dims, cycling through the
+/// nine (alpha, beta) pairs so each is used on ~11 shapes.
+template <typename Body>
+void for_oracle_shapes(Body&& body) {
+  int s = 0;
+  for (const std::int64_t p : kOracleDims) {
+    for (const std::int64_t q : kOracleDims) {
+      body(p, q, kOracleAlphas[s % 3], kOracleBetas[(s / 3) % 3]);
+      ++s;
+    }
+  }
+}
+
+std::string shape_name(const char* kernel, std::int64_t p, std::int64_t q,
+                       float alpha, float beta) {
+  std::ostringstream os;
+  os << kernel << " p=" << p << " q=" << q << " alpha=" << alpha
+     << " beta=" << beta;
+  return os.str();
+}
+
+TEST(OpsOracle, KernelIsaNamesTheBestRunnableTarget) {
+  EXPECT_STREQ(ops::kernel_isa(), runnable_targets().front().name);
+}
+
+TEST(OpsOracle, GemmNnRowsBitExactOnEveryTarget) {
+  // A (67 × k) · B (k × n): 67 rows span two kBlockM blocks and end in a
+  // 3-row tile; k = 257 crosses a step pass. Ranges include single rows
+  // and ones starting mid-tile.
+  constexpr std::int64_t m = 67;
+  Rng rng(21);
+  for_oracle_shapes([&](std::int64_t k, std::int64_t n, float alpha,
+                        float beta) {
+    const Matrix a = salted(m, k, rng);
+    const Matrix b = salted(k, n, rng);
+    const Matrix c0 = salted(m, n, rng);
+    const std::pair<std::int64_t, std::int64_t> ranges[] = {
+        {0, m}, {m - 1, m}, {5, 6}, {3, 66}};
+    for (const auto& [r0, r1] : ranges) {
+      Matrix want = c0;
+      ref_gemm_nn_rows(a, b, want, r0, r1, alpha, beta);
+      std::ostringstream what;
+      what << shape_name("gemm_nn_rows", k, n, alpha, beta) << " rows ["
+           << r0 << ", " << r1 << ")";
+      expect_oracle_bits(c0, want, what.str(),
+                         [&](ops::detail::PanelFn panel, Matrix& c) {
+                           if (panel == nullptr) {
+                             ops::gemm_nn_rows(a, b, c, r0, r1, alpha, beta);
+                           } else {
+                             ops::detail::gemm_nn_rows_with(
+                                 panel, a, b, c, r0, r1, alpha, beta);
+                           }
+                         });
+    }
+  });
+}
+
+TEST(OpsOracle, GemmTnBitExactOnEveryTarget) {
+  // Aᵀ (k × 259) · B (259 × n): 259 steps cross the 256-step pass.
+  constexpr std::int64_t m = 259;
+  Rng rng(22);
+  for_oracle_shapes([&](std::int64_t k, std::int64_t n, float alpha,
+                        float beta) {
+    const Matrix a = salted(m, k, rng);
+    const Matrix b = salted(m, n, rng);
+    const Matrix c0 = salted(k, n, rng);
+    Matrix want = c0;
+    ref_gemm_tn(a, b, want, alpha, beta);
+    expect_oracle_bits(c0, want, shape_name("gemm_tn", k, n, alpha, beta),
+                       [&](ops::detail::PanelFn panel, Matrix& c) {
+                         if (panel == nullptr) {
+                           ops::gemm_tn(a, b, c, alpha, beta);
+                         } else {
+                           ops::detail::gemm_tn_with(panel, a, b, c, alpha,
+                                                     beta);
+                         }
+                       });
+  });
+}
+
+TEST(OpsOracle, GemmNtBitExactOnEveryTarget) {
+  // A (67 × n) · Bᵀ (n × k): no zero skip, so ±0 and inf·0 in A and B must
+  // reach the dot products exactly as in the scalar loop.
+  constexpr std::int64_t m = 67;
+  Rng rng(23);
+  for_oracle_shapes([&](std::int64_t n, std::int64_t k, float alpha,
+                        float beta) {
+    const Matrix a = salted(m, n, rng);
+    const Matrix b = salted(k, n, rng);
+    const Matrix c0 = salted(m, k, rng);
+    Matrix want = c0;
+    ref_gemm_nt(a, b, want, alpha, beta);
+    expect_oracle_bits(c0, want, shape_name("gemm_nt", n, k, alpha, beta),
+                       [&](ops::detail::PanelFn panel, Matrix& c) {
+                         if (panel == nullptr) {
+                           ops::gemm_nt(a, b, c, alpha, beta);
+                         } else {
+                           ops::detail::gemm_nt_with(panel, a, b, c, alpha,
+                                                     beta);
+                         }
+                       });
+  });
 }
 
 } // namespace

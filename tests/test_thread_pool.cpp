@@ -114,23 +114,32 @@ TEST(ThreadPool, WorkerExceptionReachesTheCaller) {
 
 TEST(ThreadPool, NestedCallsRunInlineInsteadOfDeadlocking) {
   // A pooled kernel may call another pooled kernel (e.g. a layer calling
-  // two ops back to back inside a fold). Worker lanes must run the inner
-  // parallel_for inline — enqueueing to their own pool would deadlock.
+  // two ops back to back inside a fold). Every lane — pool workers and the
+  // caller draining its own job alike — must run the inner parallel_for
+  // inline: enqueueing to its own pool would deadlock, and publishing a
+  // second job from the caller's lane would let helpers run inner blocks
+  // concurrently with the block that called it.
   constexpr std::int64_t kOuter = 12;
   std::vector<std::int64_t> inner_sums(kOuter, 0);
+  std::atomic<int> off_lane_blocks{0};
   ThreadPool::instance().parallel_for(
       kOuter, 1, 4, [&](std::int64_t b0, std::int64_t) {
+        EXPECT_TRUE(ThreadPool::in_lane());
+        const std::thread::id lane = std::this_thread::get_id();
         std::int64_t local = 0;
         ThreadPool::instance().parallel_for(
             100, 7, 4,
             [&](std::int64_t i0, std::int64_t i1) {
               // Inline = serial on this lane, so unsynchronized writes to
               // `local` are safe; TSAN holds this test to that claim.
+              if (std::this_thread::get_id() != lane) off_lane_blocks++;
               for (std::int64_t i = i0; i < i1; ++i) local += i;
             });
         inner_sums[static_cast<std::size_t>(b0)] = local;
       });
   for (const std::int64_t s : inner_sums) EXPECT_EQ(s, 4950);
+  EXPECT_EQ(off_lane_blocks.load(), 0);
+  EXPECT_FALSE(ThreadPool::in_lane());
 }
 
 TEST(ThreadPool, OnWorkerThreadDistinguishesLanes) {
