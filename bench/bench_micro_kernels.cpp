@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the kernels the trainer spends
 // its time in: GEMM, mean aggregation, boundary sampling/compaction, and
-// the METIS-like partitioner. GEMM rows report GFLOP/s and %peak_muladd;
-// the run context names the dispatched ISA (kernel_isa) and the peak.
+// the METIS-like partitioner. GEMM rows report GFLOP/s and %peak_muladd,
+// aggregation rows GB/s of computed bytes; the run context names the
+// dispatched ISA (kernel_isa) and the peak.
 
 #include <benchmark/benchmark.h>
 
@@ -211,8 +212,16 @@ void BM_GemmChunkedRows(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmChunkedRows)->Arg(1024)->Arg(8192);
 
-void BM_MeanAggregate(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
+// Mean aggregation over an R-MAT graph (n nodes, 16n edges), the forward
+// gather and the backward (which builds its source incidence per call, as
+// the fused layer backward does), at d = 64 and 128. GB/s counts computed
+// bytes, (arcs + n_dst) · d · 4: every arc reads one source row and every
+// destination writes one row — the definition perfbench's
+// nn.mean_aggregate_gbps uses.
+template <bool kBackward>
+void run_mean_aggregate(benchmark::State& state, NodeId n, std::int64_t d,
+                        int threads) {
+  common::set_ops_threads(threads);
   Rng rng(2);
   const Csr g = gen::rmat(n, static_cast<EdgeId>(n) * 16, rng);
   nn::BipartiteCsr adj;
@@ -223,42 +232,59 @@ void BM_MeanAggregate(benchmark::State& state) {
   std::vector<float> inv(static_cast<std::size_t>(g.n), 0.0f);
   for (NodeId v = 0; v < g.n; ++v)
     if (g.degree(v) > 0) inv[static_cast<std::size_t>(v)] = 1.0f / g.degree(v);
-  Matrix src(g.n, 64), out;
-  src.randomize_gaussian(rng, 1.0f);
+  Matrix in(g.n, d), out(g.n, d);
+  in.randomize_gaussian(rng, 1.0f);
   for (auto _ : state) {
-    nn::mean_aggregate(adj, src, inv, out);
+    if constexpr (kBackward) {
+      nn::mean_aggregate_backward(adj, in, inv, out);
+    } else {
+      nn::mean_aggregate(adj, in, inv, out);
+    }
     benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_arcs() * 64);
-}
-BENCHMARK(BM_MeanAggregate)->Arg(4096)->Arg(32768);
-
-void BM_MeanAggregateThreads(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  const auto k = static_cast<int>(state.range(1));
-  common::set_ops_threads(k);
-  Rng rng(2);
-  const Csr g = gen::rmat(n, static_cast<EdgeId>(n) * 16, rng);
-  nn::BipartiteCsr adj;
-  adj.n_dst = g.n;
-  adj.n_src = g.n;
-  adj.offsets = g.offsets;
-  adj.nbrs = g.nbrs;
-  std::vector<float> inv(static_cast<std::size_t>(g.n), 0.0f);
-  for (NodeId v = 0; v < g.n; ++v)
-    if (g.degree(v) > 0) inv[static_cast<std::size_t>(v)] = 1.0f / g.degree(v);
-  Matrix src(g.n, 64), out;
-  src.randomize_gaussian(rng, 1.0f);
-  for (auto _ : state) {
-    nn::mean_aggregate(adj, src, inv, out);
-    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   common::set_ops_threads(1);
-  state.SetItemsProcessed(state.iterations() * g.num_arcs() * 64);
+  const double bytes = static_cast<double>((g.num_arcs() + g.n) * d) *
+                       sizeof(float) * static_cast<double>(state.iterations());
+  state.counters["GB/s"] =
+      benchmark::Counter(bytes * 1e-9, benchmark::Counter::kIsRate);
+}
+
+void BM_MeanAggregate(benchmark::State& state) {
+  run_mean_aggregate<false>(state, static_cast<NodeId>(state.range(0)),
+                            state.range(1), 1);
+}
+BENCHMARK(BM_MeanAggregate)
+    ->ArgsProduct({{4096, 32768}, {64, 128}})
+    ->ArgNames({"n", "d"});
+
+void BM_MeanAggregateThreads(benchmark::State& state) {
+  run_mean_aggregate<false>(state, static_cast<NodeId>(state.range(0)),
+                            state.range(1),
+                            static_cast<int>(state.range(2)));
 }
 BENCHMARK(BM_MeanAggregateThreads)
-    ->ArgsProduct({{32768}, {1, 2, 4, 8}})
-    ->ArgNames({"n", "threads"});
+    ->ArgsProduct({{32768}, {64, 128}, {1, 2, 4, 8}})
+    ->ArgNames({"n", "d", "threads"})
+    ->UseRealTime();
+
+void BM_MeanAggregateBackward(benchmark::State& state) {
+  run_mean_aggregate<true>(state, static_cast<NodeId>(state.range(0)),
+                           state.range(1), 1);
+}
+BENCHMARK(BM_MeanAggregateBackward)
+    ->ArgsProduct({{4096, 32768}, {64, 128}})
+    ->ArgNames({"n", "d"});
+
+void BM_MeanAggregateBackwardThreads(benchmark::State& state) {
+  run_mean_aggregate<true>(state, static_cast<NodeId>(state.range(0)),
+                           state.range(1),
+                           static_cast<int>(state.range(2)));
+}
+BENCHMARK(BM_MeanAggregateBackwardThreads)
+    ->ArgsProduct({{32768}, {64, 128}, {1, 2, 4, 8}})
+    ->ArgNames({"n", "d", "threads"})
+    ->UseRealTime();
 
 void BM_EpochPlannerDraw(benchmark::State& state) {
   // Strategy-only cost of one epoch's random draw (no compaction, no

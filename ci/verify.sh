@@ -24,10 +24,11 @@ cmake --build build -j
 # legitimate exception carries an in-source `lint: allow(...)` annotation.
 ./build/tools/lint_determinism src
 
-# Contraction guard: the GEMM panel's clones (tensor/gemm_panel.hpp) give
-# the scalar kernels' bits on every ISA only because the compiler never
-# fuses a multiply and an add (-ffp-contract=off, root CMakeLists.txt). Any
-# FMA instruction in the library means that pin was dropped.
+# Contraction guard: the clones of the GEMM and aggregation panels
+# (tensor/gemm_panel.hpp, nn/aggregate_panel.hpp) give the scalar kernels'
+# bits on every ISA only because the compiler never fuses a multiply and an
+# add (-ffp-contract=off, root CMakeLists.txt). Any FMA instruction in the
+# library means that pin was dropped.
 objdump -d build/libbnsgcn.a > build/libbnsgcn.disasm
 if grep -qE '\bvfn?m(add|sub)' build/libbnsgcn.disasm; then
   echo "error: FMA instructions in libbnsgcn.a; -ffp-contract=off was lost" >&2

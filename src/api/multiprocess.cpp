@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -45,9 +46,13 @@ std::string run_ranks_piped(comm::TransportKind kind, PartId nranks,
   // Every rank's listener is bound and listening before the first fork, so
   // connects cannot race the spawn order.
   comm::LocalGroup group = comm::make_local_group(kind, m);
+  // Closes the listeners and removes the UDS directory on every exit path
+  // of the parent, the throwing ones included.
+  comm::LocalGroupGuard group_guard(group);
 
   int pipefd[2];
-  BNSGCN_CHECK_MSG(::pipe(pipefd) == 0, "pipe failed");
+  BNSGCN_CHECK_MSG(::pipe(pipefd) == 0,
+                   std::string("pipe failed: ") + std::strerror(errno));
 
   // Flush stdio before forking so buffered output is not emitted twice.
   std::fflush(nullptr);
@@ -55,7 +60,20 @@ std::string run_ranks_piped(comm::TransportKind kind, PartId nranks,
   std::vector<pid_t> pids(static_cast<std::size_t>(m), -1);
   for (PartId r = 0; r < m; ++r) {
     const pid_t pid = ::fork();
-    BNSGCN_CHECK_MSG(pid >= 0, "fork failed");
+    if (pid < 0) {
+      // The ranks already forked would wait forever for this one: stop and
+      // reap them before the guard removes their sockets.
+      const int err = errno;
+      for (PartId j = 0; j < r; ++j) {
+        ::kill(pids[static_cast<std::size_t>(j)], SIGKILL);
+        while (::waitpid(pids[static_cast<std::size_t>(j)], nullptr, 0) < 0 &&
+               errno == EINTR) {
+        }
+      }
+      ::close(pipefd[0]);
+      ::close(pipefd[1]);
+      BNSGCN_CHECK_MSG(false, std::string("fork failed: ") + std::strerror(err));
+    }
     if (pid == 0) {
       // ---- child: rank r -------------------------------------------------
       ::close(pipefd[0]);

@@ -32,9 +32,12 @@ std::string make_uds_dir() {
   return std::string(buf.data());
 }
 
-int bind_uds_listener(const std::string& path, int backlog) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  BNSGCN_CHECK(fd >= 0);
+// The listener helpers store the fd in `fd` as soon as the socket exists,
+// so a failing bind or listen leaves it where the group's cleanup closes it.
+void bind_uds_listener(const std::string& path, int backlog, int& fd) {
+  fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  BNSGCN_CHECK_MSG(fd >= 0, std::string("uds socket failed: ") +
+                                std::strerror(errno));
   sockaddr_un sa{};
   sa.sun_family = AF_UNIX;
   BNSGCN_CHECK_MSG(path.size() < sizeof(sa.sun_path),
@@ -44,12 +47,12 @@ int bind_uds_listener(const std::string& path, int backlog) {
       ::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) == 0,
       "bind failed for " + path + ": " + std::strerror(errno));
   BNSGCN_CHECK(::listen(fd, backlog) == 0);
-  return fd;
 }
 
-int bind_tcp_listener(std::uint16_t* port_out, int backlog) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  BNSGCN_CHECK(fd >= 0);
+std::uint16_t bind_tcp_listener(int backlog, int& fd) {
+  fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  BNSGCN_CHECK_MSG(fd >= 0, std::string("tcp socket failed: ") +
+                                std::strerror(errno));
   sockaddr_in sa{};
   sa.sin_family = AF_INET;
   sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -62,8 +65,7 @@ int bind_tcp_listener(std::uint16_t* port_out, int backlog) {
   socklen_t len = sizeof(bound);
   BNSGCN_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound),
                              &len) == 0);
-  *port_out = ntohs(bound.sin_port);
-  return fd;
+  return ntohs(bound.sin_port);
 }
 
 } // namespace
@@ -76,24 +78,25 @@ LocalGroup make_local_group(TransportKind kind, PartId nranks) {
   group.endpoints.addrs.resize(static_cast<std::size_t>(nranks));
   group.listen_fds.resize(static_cast<std::size_t>(nranks), -1);
   const int backlog = static_cast<int>(nranks) + 1;
+  LocalGroupGuard guard(group); // a failed bind midway unwinds the rest
   if (kind == TransportKind::kUds) {
     group.uds_dir = make_uds_dir();
     for (PartId r = 0; r < nranks; ++r) {
       const std::string path =
           group.uds_dir + "/r" + std::to_string(r) + ".sock";
       group.endpoints.addrs[static_cast<std::size_t>(r)] = path;
-      group.listen_fds[static_cast<std::size_t>(r)] =
-          bind_uds_listener(path, backlog);
+      bind_uds_listener(path, backlog,
+                        group.listen_fds[static_cast<std::size_t>(r)]);
     }
   } else {
     for (PartId r = 0; r < nranks; ++r) {
-      std::uint16_t port = 0;
-      group.listen_fds[static_cast<std::size_t>(r)] =
-          bind_tcp_listener(&port, backlog);
+      const std::uint16_t port = bind_tcp_listener(
+          backlog, group.listen_fds[static_cast<std::size_t>(r)]);
       group.endpoints.addrs[static_cast<std::size_t>(r)] =
           "127.0.0.1:" + std::to_string(port);
     }
   }
+  guard.release();
   return group;
 }
 

@@ -27,4 +27,23 @@ struct LocalGroup {
 /// `fds_taken = true` to leave fds alone).
 void cleanup_local_group(LocalGroup& group, bool fds_taken);
 
+/// Scope guard over cleanup_local_group: on every exit path it closes the
+/// listeners still open in `group` and removes the UDS directory, so a
+/// bind, pipe or fork failure midway leaks neither. release() hands the
+/// group on intact (make_local_group returning it). A forked child must
+/// leave through _exit, which skips the guard: the parent owns cleanup.
+class LocalGroupGuard {
+ public:
+  explicit LocalGroupGuard(LocalGroup& group) : group_(&group) {}
+  ~LocalGroupGuard() {
+    if (group_ != nullptr) cleanup_local_group(*group_, /*fds_taken=*/false);
+  }
+  LocalGroupGuard(const LocalGroupGuard&) = delete;
+  LocalGroupGuard& operator=(const LocalGroupGuard&) = delete;
+  void release() { group_ = nullptr; }
+
+ private:
+  LocalGroup* group_;
+};
+
 } // namespace bnsgcn::comm

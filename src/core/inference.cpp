@@ -180,8 +180,8 @@ class ServeWorker {
     const bool stream = mode == OverlapMode::kStream;
     const int L = cfg_.num_layers;
     Accumulator compute_acc; // FoldDriver bookkeeping; unused further
-    nn::HaloIncidence halo_inc;
-    if (use_phased_) halo_inc.build(plan.adj, plan.adj.n_dst);
+    nn::SourceIncidence inc;
+    if (use_phased_) inc.build(plan.adj, plan.adj.n_dst);
     Matrix h = x_local_;
     for (int l = 0; l < L; ++l) {
       const int tag = next_tag();
@@ -190,7 +190,7 @@ class ServeWorker {
         PendingExchange px = hx_->post_forward(h, plan, tag, l);
         if (mode == OverlapMode::kBlocking) px.recvs.wait_all();
         layer.forward_inner_begin(plan.adj, h, /*training=*/false);
-        layer.forward_halo_begin(plan.adj, halo_inc);
+        layer.forward_halo_begin(plan.adj, inc);
         FoldDriver fold(px, stream);
         auto apply =
             hx_->make_forward_fold(px, plan, layer, /*scale=*/1.0f, h.cols());

@@ -293,10 +293,11 @@ class RankWorker {
     // and the blocked share of it, folded into the breakdown instead of
     // the cost-model projections when ep_.timing() is kMeasured.
     double meas_comm = 0.0, meas_overlap = 0.0, meas_tail = 0.0;
-    // Every layer of the epoch folds through the same compacted adjacency,
-    // so the slot→dst reverse incidence is built once — inside layer 0's
-    // in-flight window — and handed to each layer's phase F2a.
-    nn::HaloIncidence halo_inc;
+    // Every layer of the epoch aggregates over the same compacted
+    // adjacency, so its source incidence is built once — inside layer 0's
+    // in-flight window — and handed to each layer's phase F2a: the forward
+    // folds read its halo rows, the phased backward pulls over all rows.
+    nn::SourceIncidence inc;
     std::vector<Matrix> h(static_cast<std::size_t>(L) + 1);
     h[0] = x_local_;
     for (int l = 0; l < L; ++l) {
@@ -321,8 +322,8 @@ class RankWorker {
           ScopedTimer t(compute_acc);
           ScopedTimer w(window_acc);
           layer.forward_inner_begin(plan.adj, h_in, /*training=*/true);
-          if (l == 0) halo_inc.build(plan.adj, plan.adj.n_dst);
-          layer.forward_halo_begin(plan.adj, halo_inc);
+          if (l == 0) inc.build(plan.adj, plan.adj.n_dst);
+          layer.forward_halo_begin(plan.adj, inc);
         }
         FoldDriver fold(px, stream);
         auto apply = hx_->make_forward_fold(px, plan, layer, plan.halo_scale,

@@ -190,7 +190,7 @@ void GatLayer::forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
 }
 
 void GatLayer::forward_halo_begin(const BipartiteCsr&,
-                                  const HaloIncidence&) {
+                                  const SourceIncidence&) {
   phase_check_.on_halo_begin();
   // The incidence is for aggregation-style folds; GAT's per-peer slabs go
   // straight through the per-head transform instead.

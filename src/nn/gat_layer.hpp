@@ -52,7 +52,7 @@ class GatLayer final : public Layer {
   void forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
                            NodeId row1) override;
   void forward_halo_begin(const BipartiteCsr& adj,
-                          const HaloIncidence& inc) override;
+                          const SourceIncidence& inc) override;
   void forward_halo_fold(const BipartiteCsr& adj,
                          std::span<const NodeId> slots,
                          std::span<const float> rows) override;

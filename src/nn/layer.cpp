@@ -1,19 +1,49 @@
 #include "nn/layer.hpp"
 
 #include "common/thread_pool.hpp"
+#include "nn/aggregate_panel.hpp"
 
 namespace bnsgcn::nn {
 
 namespace {
 
-// Parallel grains, mirroring tensor/ops.cpp. Gather-shaped kernels (one
-// writer per destination row) split the row axis; scatter-shaped kernels
-// (source rows fan out to repeating destinations) split the feature axis so
-// each lane owns disjoint columns while walking entries in the serial
-// order. Either way each output element's accumulation order is the scalar
-// kernel's — bit-identical for every thread count (common/thread_pool.hpp).
+// Row grain of the aggregation kernels: also the parallel_for block. Every
+// output row — a destination in the gather, a source in the pull — is
+// written by one lane and finishes inside its block, so neither the thread
+// count nor this value changes bits (common/thread_pool.hpp).
 constexpr std::int64_t kRowBlock = 64;
+
+// Column grain of the halo fold, the one scatter left: slots of one slab
+// can hit the same destination row, so lanes own disjoint column ranges
+// and each replays the full slot/entry walk in the serial order.
 constexpr std::int64_t kColBlock = 64;
+
+// The shipped aggregation kernel: one source, one clone per ISA, picked at
+// load time by the CPU. The clones produce identical bits
+// (nn/aggregate_panel.hpp).
+__attribute__((target_clones("avx512f", "avx2", "default"))) void
+dispatched_agg(const detail::AggSpec& s, std::int64_t r0, std::int64_t r1) {
+  detail::run(s, r0, r1);
+}
+
+// Pulls incidence rows [u0, u1) into out (row u lands on out row u - u0).
+void pull(detail::AggPanelFn panel, const SourceIncidence& inc,
+          const Matrix& dout, std::span<const float> inv_deg, NodeId u0,
+          NodeId u1, Matrix& out) {
+  BNSGCN_CHECK(dout.rows() == inc.n_dst);
+  BNSGCN_CHECK(static_cast<NodeId>(inv_deg.size()) == inc.n_dst);
+  BNSGCN_CHECK(out.rows() == u1 - u0 && out.cols() == dout.cols());
+  BNSGCN_CHECK(inc.offsets.size() == static_cast<std::size_t>(inc.n_src) + 1);
+  const detail::AggSpec s{
+      .offsets = inc.offsets.data(), .idx = inc.dsts.data(),
+      .scale = inc.scales.empty() ? nullptr : inc.scales.data(),
+      .inv_deg = inv_deg.data(), .src = dout.data(), .out = out.data(),
+      .out_row0 = u0, .d = dout.cols(), .pull = true};
+  common::for_blocks(u1 - u0, kRowBlock, [&](std::int64_t b0,
+                                             std::int64_t b1) {
+    panel(s, u0 + b0, u0 + b1);
+  });
+}
 
 } // namespace
 
@@ -29,144 +59,162 @@ void BipartiteCsr::validate() const {
 
 void mean_aggregate(const BipartiteCsr& adj, const Matrix& src,
                     std::span<const float> inv_deg, Matrix& out) {
-  BNSGCN_CHECK(src.rows() == adj.n_src);
-  BNSGCN_CHECK(static_cast<NodeId>(inv_deg.size()) == adj.n_dst);
-  const std::int64_t d = src.cols();
-  out.resize(adj.n_dst, d);
-  const bool weighted = !adj.edge_scale.empty();
-  common::for_blocks(adj.n_dst, kRowBlock, [&](std::int64_t v0,
-                                               std::int64_t v1) {
-    for (NodeId v = static_cast<NodeId>(v0); v < static_cast<NodeId>(v1);
-         ++v) {
-      float* o = out.data() + static_cast<std::int64_t>(v) * d;
-      const float w = inv_deg[static_cast<std::size_t>(v)];
-      if (w == 0.0f) continue;
-      const auto begin = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v)]);
-      const auto end = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v) + 1]);
-      for (std::size_t e = begin; e < end; ++e) {
-        const NodeId u = adj.nbrs[e];
-        const float es = weighted ? adj.edge_scale[e] : 1.0f;
-        const float* s = src.data() + static_cast<std::int64_t>(u) * d;
-        for (std::int64_t c = 0; c < d; ++c) o[c] += es * s[c];
-      }
-      for (std::int64_t c = 0; c < d; ++c) o[c] *= w;
-    }
-  });
+  detail::mean_aggregate_with(dispatched_agg, adj, src, inv_deg, out);
 }
 
 void mean_aggregate_backward(const BipartiteCsr& adj, const Matrix& dout,
                              std::span<const float> inv_deg, Matrix& dsrc) {
-  BNSGCN_CHECK(dout.rows() == adj.n_dst);
-  BNSGCN_CHECK(dsrc.rows() == adj.n_src && dsrc.cols() == dout.cols());
-  const std::int64_t d = dout.cols();
-  const bool weighted = !adj.edge_scale.empty();
-  // Scatter into dsrc: the same source row u appears under many v, so lanes
-  // own disjoint column ranges and replay the full v/e walk.
-  common::for_blocks(d, kColBlock, [&](std::int64_t c0, std::int64_t c1) {
-    for (NodeId v = 0; v < adj.n_dst; ++v) {
-      const float w = inv_deg[static_cast<std::size_t>(v)];
-      if (w == 0.0f) continue;
-      const float* g = dout.data() + static_cast<std::int64_t>(v) * d;
-      const auto begin = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v)]);
-      const auto end = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v) + 1]);
-      for (std::size_t e = begin; e < end; ++e) {
-        const NodeId u = adj.nbrs[e];
-        const float wu = weighted ? w * adj.edge_scale[e] : w;
-        float* t = dsrc.data() + static_cast<std::int64_t>(u) * d;
-        for (std::int64_t c = c0; c < c1; ++c) t[c] += wu * g[c];
-      }
-    }
-  });
+  detail::mean_aggregate_backward_with(dispatched_agg, adj, dout, inv_deg,
+                                       dsrc);
 }
 
 void mean_aggregate_inner_rows(const BipartiteCsr& adj,
                                const Matrix& inner_src, NodeId row0,
                                NodeId row1, Matrix& out) {
+  detail::mean_aggregate_inner_rows_with(dispatched_agg, adj, inner_src,
+                                         row0, row1, out);
+}
+
+void mean_aggregate_backward_halo(const SourceIncidence& inc,
+                                  const Matrix& dout,
+                                  std::span<const float> inv_deg,
+                                  Matrix& dhalo) {
+  detail::mean_aggregate_backward_halo_with(dispatched_agg, inc, dout,
+                                            inv_deg, dhalo);
+}
+
+void mean_aggregate_backward_inner(const SourceIncidence& inc,
+                                   const Matrix& dout,
+                                   std::span<const float> inv_deg,
+                                   Matrix& dinner) {
+  detail::mean_aggregate_backward_inner_with(dispatched_agg, inc, dout,
+                                             inv_deg, dinner);
+}
+
+void detail::mean_aggregate_with(AggPanelFn panel, const BipartiteCsr& adj,
+                                 const Matrix& src,
+                                 std::span<const float> inv_deg, Matrix& out) {
+  BNSGCN_CHECK(src.rows() == adj.n_src);
+  BNSGCN_CHECK(static_cast<NodeId>(inv_deg.size()) == adj.n_dst);
+  out.resize(adj.n_dst, src.cols());
+  const AggSpec s{
+      .offsets = adj.offsets.data(), .idx = adj.nbrs.data(),
+      .scale = adj.edge_scale.empty() ? nullptr : adj.edge_scale.data(),
+      .inv_deg = inv_deg.data(), .idx_end = adj.n_src, .src = src.data(),
+      .out = out.data(), .out_row0 = 0, .d = src.cols(), .pull = false};
+  common::for_blocks(adj.n_dst, kRowBlock, [&](std::int64_t v0,
+                                               std::int64_t v1) {
+    panel(s, v0, v1);
+  });
+}
+
+void detail::mean_aggregate_inner_rows_with(AggPanelFn panel,
+                                            const BipartiteCsr& adj,
+                                            const Matrix& inner_src,
+                                            NodeId row0, NodeId row1,
+                                            Matrix& out) {
   const NodeId n_lo = static_cast<NodeId>(inner_src.rows());
   BNSGCN_CHECK(n_lo <= adj.n_src);
   BNSGCN_CHECK(row0 >= 0 && row0 <= row1 && row1 <= adj.n_dst);
   BNSGCN_CHECK(out.rows() == adj.n_dst && out.cols() == inner_src.cols());
-  const std::int64_t d = inner_src.cols();
-  const bool weighted = !adj.edge_scale.empty();
+  // Halo sources (u >= n_lo) are skipped: the folds add them.
+  const AggSpec s{
+      .offsets = adj.offsets.data(), .idx = adj.nbrs.data(),
+      .scale = adj.edge_scale.empty() ? nullptr : adj.edge_scale.data(),
+      .inv_deg = nullptr, .idx_end = n_lo, .src = inner_src.data(),
+      .out = out.data(), .out_row0 = 0, .d = inner_src.cols(), .pull = false};
   // Row blocks anchored at row0, so chunked-stream callers (chunks can be a
   // single row) see the same split they would inside one big call.
   common::for_blocks(row1 - row0, kRowBlock, [&](std::int64_t b0,
                                                  std::int64_t b1) {
-    for (NodeId v = row0 + static_cast<NodeId>(b0);
-         v < row0 + static_cast<NodeId>(b1); ++v) {
-      float* o = out.data() + static_cast<std::int64_t>(v) * d;
-      const auto begin = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v)]);
-      const auto end = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v) + 1]);
-      for (std::size_t e = begin; e < end; ++e) {
-        const NodeId u = adj.nbrs[e];
-        if (u >= n_lo) continue; // halo source: folded by the finish pass
-        const float es = weighted ? adj.edge_scale[e] : 1.0f;
-        const float* s = inner_src.data() + static_cast<std::int64_t>(u) * d;
-        for (std::int64_t c = 0; c < d; ++c) o[c] += es * s[c];
-      }
-    }
+    panel(s, row0 + b0, row0 + b1);
   });
 }
 
-void HaloIncidence::build(const BipartiteCsr& adj, NodeId lo) {
+void detail::mean_aggregate_backward_with(AggPanelFn panel,
+                                          const BipartiteCsr& adj,
+                                          const Matrix& dout,
+                                          std::span<const float> inv_deg,
+                                          Matrix& dsrc) {
+  BNSGCN_CHECK(dout.rows() == adj.n_dst);
+  BNSGCN_CHECK(dsrc.rows() == adj.n_src && dsrc.cols() == dout.cols());
+  SourceIncidence inc;
+  inc.build(adj, adj.n_src);
+  pull(panel, inc, dout, inv_deg, 0, adj.n_src, dsrc);
+}
+
+void detail::mean_aggregate_backward_inner_with(
+    AggPanelFn panel, const SourceIncidence& inc, const Matrix& dout,
+    std::span<const float> inv_deg, Matrix& dinner) {
+  pull(panel, inc, dout, inv_deg, 0, inc.n_lo, dinner);
+}
+
+void detail::mean_aggregate_backward_halo_with(
+    AggPanelFn panel, const SourceIncidence& inc, const Matrix& dout,
+    std::span<const float> inv_deg, Matrix& dhalo) {
+  pull(panel, inc, dout, inv_deg, inc.n_lo, inc.n_src, dhalo);
+}
+
+void SourceIncidence::build(const BipartiteCsr& adj, NodeId lo) {
+  BNSGCN_CHECK(lo >= 0 && lo <= adj.n_src);
   n_lo = lo;
-  n_halo = adj.n_src - lo;
-  BNSGCN_CHECK(n_halo >= 0);
+  n_src = adj.n_src;
+  n_dst = adj.n_dst;
+  // Counting pass, then a fill pass in (destination, edge) order — the
+  // standard CSR transpose, which is what makes each row's entry order the
+  // destination-major scatter order.
+  offsets.assign(static_cast<std::size_t>(n_src) + 1, 0);
+  for (const NodeId u : adj.nbrs) ++offsets[static_cast<std::size_t>(u) + 1];
+  for (std::size_t u = 1; u < offsets.size(); ++u) offsets[u] += offsets[u - 1];
   const bool weighted = !adj.edge_scale.empty();
-  // Counting pass, then a fill pass — the standard CSR transpose, but only
-  // over the halo-source entries.
-  offsets.assign(static_cast<std::size_t>(n_halo) + 1, 0);
-  for (std::size_t e = 0; e < adj.nbrs.size(); ++e) {
-    const NodeId u = adj.nbrs[e];
-    if (u >= lo) ++offsets[static_cast<std::size_t>(u - lo) + 1];
-  }
-  for (std::size_t s = 1; s < offsets.size(); ++s) offsets[s] += offsets[s - 1];
-  dsts.assign(static_cast<std::size_t>(offsets.back()), 0);
-  scales.assign(static_cast<std::size_t>(offsets.back()), 1.0f);
+  dsts.assign(adj.nbrs.size(), 0);
+  scales.assign(weighted ? adj.nbrs.size() : 0, 0.0f);
   std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
+  // The fill's stores land at random rows; prefetching the slot an arc
+  // kFillAhead further on will write overlaps their cache misses (about
+  // 2x on the fill). A stale guess (the same source in between) only costs
+  // a useless prefetch.
+  constexpr std::size_t kFillAhead = 16;
+  const std::size_t n_arcs = adj.nbrs.size();
   for (NodeId v = 0; v < adj.n_dst; ++v) {
     const auto begin = static_cast<std::size_t>(
         adj.offsets[static_cast<std::size_t>(v)]);
     const auto end = static_cast<std::size_t>(
         adj.offsets[static_cast<std::size_t>(v) + 1]);
     for (std::size_t e = begin; e < end; ++e) {
-      const NodeId u = adj.nbrs[e];
-      if (u < lo) continue;
+      if (e + kFillAhead < n_arcs) {
+        const auto ahead = static_cast<std::size_t>(
+            cursor[static_cast<std::size_t>(adj.nbrs[e + kFillAhead])]);
+        __builtin_prefetch(dsts.data() + ahead, 1);
+      }
       const auto at = static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(u - lo)]++);
+          cursor[static_cast<std::size_t>(adj.nbrs[e])]++);
       dsts[at] = v;
       if (weighted) scales[at] = adj.edge_scale[e];
     }
   }
 }
 
-void mean_aggregate_halo_fold(const HaloIncidence& inc,
+void mean_aggregate_halo_fold(const SourceIncidence& inc,
                               std::span<const NodeId> slots,
                               std::span<const float> rows, std::int64_t d,
                               Matrix& out) {
   BNSGCN_CHECK(rows.size() == slots.size() * static_cast<std::size_t>(d));
   BNSGCN_CHECK(out.cols() == d);
-  for (const NodeId s : slots) BNSGCN_CHECK(s >= 0 && s < inc.n_halo);
+  for (const NodeId s : slots) BNSGCN_CHECK(s >= 0 && s < inc.n_halo());
+  const bool weighted = !inc.scales.empty();
   // Different slots can hit the same destination row, so this is a scatter:
   // lanes split the feature axis, each replaying the slot/entry walk.
   common::for_blocks(d, kColBlock, [&](std::int64_t c0, std::int64_t c1) {
     for (std::size_t t = 0; t < slots.size(); ++t) {
-      const NodeId s = slots[t];
+      const auto u = static_cast<std::size_t>(inc.n_lo + slots[t]);
       const float* row = rows.data() + t * static_cast<std::size_t>(d);
-      const auto begin = static_cast<std::size_t>(
-          inc.offsets[static_cast<std::size_t>(s)]);
-      const auto end = static_cast<std::size_t>(
-          inc.offsets[static_cast<std::size_t>(s) + 1]);
+      const auto begin = static_cast<std::size_t>(inc.offsets[u]);
+      const auto end = static_cast<std::size_t>(inc.offsets[u + 1]);
       for (std::size_t e = begin; e < end; ++e) {
         float* o = out.data() + static_cast<std::int64_t>(inc.dsts[e]) * d;
-        const float es = inc.scales[e];
-        for (std::int64_t c = c0; c < c1; ++c) o[c] += es * row[c];
+        const float es = weighted ? inc.scales[e] : 1.0f;
+        for (std::int64_t c = c0; c < c1; ++c) o[c] += es * row[c]; // lint: allow(float-accum) — per-element (peer, slot, entry) order; lanes own disjoint columns
       }
     }
   });
@@ -190,61 +238,6 @@ void mean_aggregate_finish(std::span<const float> inv_deg, Matrix& out) {
   });
 }
 
-void mean_aggregate_backward_halo(const BipartiteCsr& adj, const Matrix& dout,
-                                  std::span<const float> inv_deg, NodeId n_lo,
-                                  Matrix& dhalo) {
-  BNSGCN_CHECK(dout.rows() == adj.n_dst);
-  BNSGCN_CHECK(dhalo.rows() == adj.n_src - n_lo &&
-               dhalo.cols() == dout.cols());
-  const std::int64_t d = dout.cols();
-  const bool weighted = !adj.edge_scale.empty();
-  common::for_blocks(d, kColBlock, [&](std::int64_t c0, std::int64_t c1) {
-    for (NodeId v = 0; v < adj.n_dst; ++v) {
-      const float w = inv_deg[static_cast<std::size_t>(v)];
-      if (w == 0.0f) continue;
-      const float* g = dout.data() + static_cast<std::int64_t>(v) * d;
-      const auto begin = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v)]);
-      const auto end = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v) + 1]);
-      for (std::size_t e = begin; e < end; ++e) {
-        const NodeId u = adj.nbrs[e];
-        if (u < n_lo) continue;
-        const float wu = weighted ? w * adj.edge_scale[e] : w;
-        float* t = dhalo.data() + static_cast<std::int64_t>(u - n_lo) * d;
-        for (std::int64_t c = c0; c < c1; ++c) t[c] += wu * g[c];
-      }
-    }
-  });
-}
-
-void mean_aggregate_backward_inner(const BipartiteCsr& adj, const Matrix& dout,
-                                   std::span<const float> inv_deg, NodeId n_lo,
-                                   Matrix& dinner) {
-  BNSGCN_CHECK(dout.rows() == adj.n_dst);
-  BNSGCN_CHECK(dinner.rows() == n_lo && dinner.cols() == dout.cols());
-  const std::int64_t d = dout.cols();
-  const bool weighted = !adj.edge_scale.empty();
-  common::for_blocks(d, kColBlock, [&](std::int64_t c0, std::int64_t c1) {
-    for (NodeId v = 0; v < adj.n_dst; ++v) {
-      const float w = inv_deg[static_cast<std::size_t>(v)];
-      if (w == 0.0f) continue;
-      const float* g = dout.data() + static_cast<std::int64_t>(v) * d;
-      const auto begin = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v)]);
-      const auto end = static_cast<std::size_t>(
-          adj.offsets[static_cast<std::size_t>(v) + 1]);
-      for (std::size_t e = begin; e < end; ++e) {
-        const NodeId u = adj.nbrs[e];
-        if (u >= n_lo) continue;
-        const float wu = weighted ? w * adj.edge_scale[e] : w;
-        float* t = dinner.data() + static_cast<std::int64_t>(u) * d;
-        for (std::int64_t c = c0; c < c1; ++c) t[c] += wu * g[c];
-      }
-    }
-  });
-}
-
 void Layer::forward_inner_begin(const BipartiteCsr&, const Matrix&, bool) {
   BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
 }
@@ -253,7 +246,7 @@ void Layer::forward_inner_chunk(const BipartiteCsr&, NodeId, NodeId) {
   BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
 }
 
-void Layer::forward_halo_begin(const BipartiteCsr&, const HaloIncidence&) {
+void Layer::forward_halo_begin(const BipartiteCsr&, const SourceIncidence&) {
   BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
 }
 

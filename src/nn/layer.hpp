@@ -51,7 +51,8 @@ void mean_aggregate(const BipartiteCsr& adj, const Matrix& src,
                     std::span<const float> inv_deg, Matrix& out);
 
 /// Backward of mean_aggregate: dsrc[u,:] += inv_deg[v] * dout[v,:].
-/// `dsrc` must be pre-sized to (n_src, d) and is accumulated into.
+/// `dsrc` must be pre-sized to (n_src, d) and is accumulated into. Builds a
+/// transient SourceIncidence of `adj` and pulls every source row over it.
 void mean_aggregate_backward(const BipartiteCsr& adj, const Matrix& dout,
                              std::span<const float> inv_deg, Matrix& dsrc);
 
@@ -66,14 +67,18 @@ void mean_aggregate_backward(const BipartiteCsr& adj, const Matrix& dout,
 // their own, and the finish pass combines and normalizes:
 //   finish == inv_deg ⊙ (sum_inner + sum_halo)
 // Per destination row the summation order is: inner terms (adjacency
-// order), then the halo sum (accumulated in (peer, slot, incidence)
-// order) added as one term — independent of chunking and of *when* folds
-// land relative to chunks, which is what keeps every schedule and every
-// chunk size bit-identical. Relative to the interleaved single-pass
+// order), then the halo sum (accumulated in (peer, slot, incidence) order)
+// added as one term — independent of chunking and of *when* folds land
+// relative to chunks, which is what keeps every schedule and every chunk
+// size bit-identical. Relative to the interleaved single-pass
 // mean_aggregate this reassociates the per-row sum (fp32 drift only).
-// The backward splits are bitwise identical to mean_aggregate_backward
-// because every scattered target receives its contributions in the same
-// (dst, edge) order.
+//
+// The backward pulls instead of scattering: source row u sums its terms
+// over the SourceIncidence entries of u, which are in (destination,
+// edge) ascending order — exactly the order in which a destination-major
+// scatter would have added them. So the inner/halo split is bitwise
+// identical to mean_aggregate_backward, and each source row is written by
+// one lane (row-split, like the forward gather).
 // ---------------------------------------------------------------------------
 
 /// Phase 1, row-chunked: out[v,:] = sum over neighbors u <
@@ -87,31 +92,36 @@ void mean_aggregate_inner_rows(const BipartiteCsr& adj,
                                const Matrix& inner_src, NodeId row0,
                                NodeId row1, Matrix& out);
 
-/// Reverse incidence of the halo sources of a compacted adjacency: for
-/// each halo slot s (source id n_lo + s), the (dst, edge_scale) entries
-/// that reference it. This is what lets a consumer fold one peer's
-/// received rows into the destination aggregate the moment the slab lands
-/// (streaming fold) instead of waiting for the assembled halo block.
-/// Built in O(n_dst + edges); entries of one slot keep adjacency order.
-struct HaloIncidence {
-  NodeId n_lo = 0;     // first halo source id; slots index from here
-  NodeId n_halo = 0;   // number of halo slots
-  std::vector<EdgeId> offsets;  // size n_halo + 1
-  std::vector<NodeId> dsts;     // destination row of each entry
-  std::vector<float> scales;    // edge_scale of each entry (1 when unweighted)
+/// The source incidence of an adjacency — its transpose (CSC): for each
+/// source row u, the (destination, edge_scale) entries whose arc reads u,
+/// in (destination, edge) ascending order. Rows below `n_lo` are the inner
+/// sources the backward pull reads; rows at and above it are the halo
+/// slots (slot s is row n_lo + s), which the streaming forward fold reads
+/// to fold one peer's slab into the destination aggregate the moment it
+/// lands. Built in O(n_src + edges) once per epoch by the trainer (every
+/// layer shares the epoch's compacted adjacency); 4 bytes per arc, plus
+/// 4 more when the adjacency is weighted.
+struct SourceIncidence {
+  NodeId n_lo = 0;   // first halo source row
+  NodeId n_src = 0;  // rows: the adjacency's source count
+  NodeId n_dst = 0;  // the adjacency's destination count
+  std::vector<EdgeId> offsets; // size n_src + 1
+  std::vector<NodeId> dsts;    // destination row of each entry
+  std::vector<float> scales;   // edge_scale of each entry; empty = all 1
 
   void build(const BipartiteCsr& adj, NodeId n_lo);
+  [[nodiscard]] NodeId n_halo() const { return n_src - n_lo; }
 };
 
 /// Phase 2a (streaming fold): out[dst,:] += es * rows[t,:] for every
-/// incidence entry of slot slots[t]. `rows` is one peer's halo slab
+/// incidence entry of halo slot slots[t]. `rows` is one peer's halo slab
 /// (slots.size() rows of width d, row-major, already 1/p-scaled by the
 /// caller). Folding peers in a fixed order makes the per-destination
 /// summation order deterministic: inner terms first
 /// (mean_aggregate_inner_rows, adjacency order), then halo terms in
 /// (peer, slot, incidence) order — identical across blocking, bulk and
 /// stream schedules.
-void mean_aggregate_halo_fold(const HaloIncidence& inc,
+void mean_aggregate_halo_fold(const SourceIncidence& inc,
                               std::span<const NodeId> slots,
                               std::span<const float> rows, std::int64_t d,
                               Matrix& out);
@@ -121,16 +131,20 @@ void mean_aggregate_halo_fold(const HaloIncidence& inc,
 /// convention mean_aggregate established for isolated destinations).
 void mean_aggregate_finish(std::span<const float> inv_deg, Matrix& out);
 
-/// Halo half of the backward scatter: dhalo[u - n_lo,:] += w * dout[v,:]
-/// for sources u >= n_lo. dhalo must be pre-sized to (n_src - n_lo, d).
-void mean_aggregate_backward_halo(const BipartiteCsr& adj, const Matrix& dout,
-                                  std::span<const float> inv_deg, NodeId n_lo,
+/// Halo half of the backward: dhalo[u - n_lo,:] += inv_deg[v] * es *
+/// dout[v,:] over the incidence of every halo source u >= inc.n_lo. dhalo
+/// must be pre-sized to (n_halo, d).
+void mean_aggregate_backward_halo(const SourceIncidence& inc,
+                                  const Matrix& dout,
+                                  std::span<const float> inv_deg,
                                   Matrix& dhalo);
 
-/// Inner half of the backward scatter: dinner[u,:] += w * dout[v,:] for
-/// sources u < n_lo. dinner must be pre-sized to (n_lo, d).
-void mean_aggregate_backward_inner(const BipartiteCsr& adj, const Matrix& dout,
-                                   std::span<const float> inv_deg, NodeId n_lo,
+/// Inner half of the backward: dinner[u,:] += inv_deg[v] * es * dout[v,:]
+/// over the incidence of every inner source u < inc.n_lo. dinner must be
+/// pre-sized to (n_lo, d).
+void mean_aggregate_backward_inner(const SourceIncidence& inc,
+                                   const Matrix& dout,
+                                   std::span<const float> inv_deg,
                                    Matrix& dinner);
 
 /// Checked-build monitor of the split-phase protocol documented on Layer
@@ -275,14 +289,15 @@ class Layer {
                                    NodeId row1);
 
 
-  /// Phase F2a: receive the epoch's halo fold state. `inc` is the
-  /// slot→dst reverse incidence of `adj`, built by the caller once per
-  /// epoch (every layer of an epoch shares one compacted adjacency) and
-  /// kept alive until the epoch's last fold. Called once per layer
-  /// forward, after forward_inner and before the first fold; part of the
-  /// in-flight compute window.
+  /// Phase F2a: receive the epoch's fold state. `inc` is the source
+  /// incidence of `adj` (halo slots at and past inc.n_lo), built by the
+  /// caller once per epoch (every layer of an epoch shares one compacted
+  /// adjacency) and kept alive until the epoch's last backward: the
+  /// forward folds read its halo rows, a phased backward pulls over all of
+  /// them. Called once per layer forward, after forward_inner and before
+  /// the first fold; part of the in-flight compute window.
   virtual void forward_halo_begin(const BipartiteCsr& adj,
-                                  const HaloIncidence& inc);
+                                  const SourceIncidence& inc);
 
   /// Phase F2b: fold one peer's halo slab — rows.size() == slots.size() *
   /// d_in, row t is halo slot slots[t], already 1/p-scaled by the caller.

@@ -76,10 +76,10 @@ void SageLayer::forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
 }
 
 void SageLayer::forward_halo_begin(const BipartiteCsr& adj,
-                                   const HaloIncidence& inc) {
+                                   const SourceIncidence& inc) {
   phase_check_.on_halo_begin();
-  BNSGCN_CHECK(inc.n_lo == adj.n_dst && inc.n_halo == adj.n_src - adj.n_dst);
-  halo_inc_ = &inc;
+  BNSGCN_CHECK(inc.n_lo == adj.n_dst && inc.n_src == adj.n_src);
+  inc_ = &inc;
   // Folds accumulate here, not in z_partial_: a fold may land before the
   // F1 chunk that computes its destination rows, and the separate buffer
   // is what keeps the per-row order (inner terms, then the halo sum)
@@ -92,8 +92,8 @@ void SageLayer::forward_halo_fold(const BipartiteCsr& adj,
                                   std::span<const float> rows) {
   phase_check_.on_halo_fold();
   (void)adj; // geometry is frozen in the incidence received by _begin
-  BNSGCN_CHECK(halo_inc_ != nullptr);
-  mean_aggregate_halo_fold(*halo_inc_, slots, rows, d_in_, z_halo_);
+  BNSGCN_CHECK(inc_ != nullptr);
+  mean_aggregate_halo_fold(*inc_, slots, rows, d_in_, z_halo_);
 }
 
 Matrix SageLayer::forward_halo_finish(const BipartiteCsr& adj,
@@ -144,16 +144,18 @@ Matrix SageLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
   ops::gemm_nt(g_cache_, w_, du);
   ops::split_cols(du, dz_cache_, dself_cache_, d_in_);
 
+  // The incidence of the forward's halo_begin: the epoch's adjacency.
+  BNSGCN_CHECK(inc_ != nullptr && inc_->n_src == adj.n_src);
   Matrix dhalo(adj.n_src - adj.n_dst, d_in_);
-  mean_aggregate_backward_halo(adj, dz_cache_, inv_deg, adj.n_dst, dhalo);
+  mean_aggregate_backward_halo(*inc_, dz_cache_, inv_deg, dhalo);
   return dhalo;
 }
 
-Matrix SageLayer::backward_inner(const BipartiteCsr& adj,
+Matrix SageLayer::backward_inner(const BipartiteCsr&,
                                  std::span<const float> inv_deg) {
   phase_check_.on_backward_inner();
   Matrix dinner = dself_cache_; // the self half lands on inner rows 1:1
-  mean_aggregate_backward_inner(adj, dz_cache_, inv_deg, adj.n_dst, dinner);
+  mean_aggregate_backward_inner(*inc_, dz_cache_, inv_deg, dinner);
   return dinner;
 }
 

@@ -42,7 +42,7 @@ class SageLayer final : public Layer {
   void forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
                            NodeId row1) override;
   void forward_halo_begin(const BipartiteCsr& adj,
-                          const HaloIncidence& inc) override;
+                          const SourceIncidence& inc) override;
   void forward_halo_fold(const BipartiteCsr& adj,
                          std::span<const NodeId> slots,
                          std::span<const float> rows) override;
@@ -86,8 +86,9 @@ class SageLayer final : public Layer {
   Matrix z_halo_;        // forward: folded halo sums — separate from
                          // z_partial_ so folds may land mid-F1 without
                          // perturbing the per-row order; combined at finish
-  const HaloIncidence* halo_inc_ = nullptr; // trainer-owned, set per epoch
-                                            // by forward_halo_begin
+  const SourceIncidence* inc_ = nullptr; // trainer-owned, set per epoch by
+                                         // forward_halo_begin; the folds
+                                         // and the phased backward read it
   Matrix self_cache_;    // forward: the inner feature block
   Matrix out_partial_;   // forward: self·W_self + b, built in phase F1
   Matrix w_half_;        // staging copy of one d_in-row half of w_

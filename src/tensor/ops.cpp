@@ -209,16 +209,18 @@ void col_sum(const Matrix& grad, Matrix& out) {
 
 void relu_forward(Matrix& x, Matrix& mask) {
   mask.resize(x.rows(), x.cols());
-  float* px = x.data();
-  float* pm = mask.data();
+  float* __restrict px = x.data();
+  float* __restrict pm = mask.data();
   const std::int64_t n = x.size();
+  // Selects, not a branch: on random signs a branch mispredicts about half
+  // the time, and the select loop vectorizes. std::max(0.0f, v) is
+  // (0 < v) ? v : 0, spelled so GCC keeps it a select instead of sinking
+  // the unchanged store back into a branch. NaN, -0 and negatives give +0
+  // with mask 0, exactly as the branch did.
   for (std::int64_t i = 0; i < n; ++i) {
-    if (px[i] > 0.0f) {
-      pm[i] = 1.0f;
-    } else {
-      px[i] = 0.0f;
-      pm[i] = 0.0f;
-    }
+    const float v = px[i];
+    pm[i] = v > 0.0f ? 1.0f : 0.0f;
+    px[i] = std::max(0.0f, v);
   }
 }
 
@@ -233,9 +235,9 @@ void relu_backward(Matrix& grad, const Matrix& mask) {
 void relu_forward(Matrix& x) {
   float* px = x.data();
   const std::int64_t n = x.size();
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (px[i] <= 0.0f) px[i] = 0.0f;
-  }
+  // Branchless like the masked overload. The test is x <= 0 rather than
+  // x > 0, so a NaN passes through unchanged, as it always has here.
+  for (std::int64_t i = 0; i < n; ++i) px[i] = px[i] <= 0.0f ? 0.0f : px[i];
 }
 
 void leaky_relu_forward(Matrix& x, Matrix& mask, float slope) {

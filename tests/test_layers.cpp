@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/thread_pool.hpp"
+#include "nn/aggregate_panel.hpp"
 #include "nn/gat_layer.hpp"
 #include "nn/sage_layer.hpp"
 #include "tensor/ops.hpp"
@@ -274,6 +284,431 @@ TEST(FlattenGrads, RoundTrip) {
   nn::apply_flat_grads(flat, layers);
   EXPECT_FLOAT_EQ(layers[0]->grads()[0]->at(0, 0), 2.0f);
   EXPECT_FLOAT_EQ(layers[1]->grads()[1]->at(0, 0), 8.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-exact oracle for the aggregation panel (nn/aggregate_panel.hpp). The
+// ref_* functions are the scalar gather and scatter loops the panel
+// replaced, kept serial: they define the bits. The shipped kernels (the
+// clone this host dispatches to) and the panel instantiated under each
+// target_clones target must match them byte for byte — with zero-degree
+// destinations, repeated neighbours, sources no arc reads, zero inv_deg on
+// rows that have arcs, weighted and unweighted adjacencies, widths that
+// leave partial panels and scalar tails, and operands salted with ±0,
+// subnormals and ±inf, at 1 and 4 threads.
+// ---------------------------------------------------------------------------
+
+void ref_mean_aggregate(const BipartiteCsr& adj, const Matrix& src,
+                        std::span<const float> inv_deg, Matrix& out) {
+  const std::int64_t d = src.cols();
+  out.resize(adj.n_dst, d);
+  const bool weighted = !adj.edge_scale.empty();
+  for (NodeId v = 0; v < adj.n_dst; ++v) {
+    float* o = out.data() + static_cast<std::int64_t>(v) * d;
+    const float w = inv_deg[static_cast<std::size_t>(v)];
+    if (w == 0.0f) continue;
+    for (auto e = adj.offsets[static_cast<std::size_t>(v)];
+         e < adj.offsets[static_cast<std::size_t>(v) + 1]; ++e) {
+      const auto ue = static_cast<std::size_t>(e);
+      const float es = weighted ? adj.edge_scale[ue] : 1.0f;
+      const float* s = src.data() + static_cast<std::int64_t>(adj.nbrs[ue]) * d;
+      for (std::int64_t c = 0; c < d; ++c) o[c] += es * s[c];
+    }
+    for (std::int64_t c = 0; c < d; ++c) o[c] *= w;
+  }
+}
+
+void ref_inner_rows(const BipartiteCsr& adj, const Matrix& inner_src,
+                    NodeId row0, NodeId row1, Matrix& out) {
+  const auto n_lo = static_cast<NodeId>(inner_src.rows());
+  const std::int64_t d = inner_src.cols();
+  const bool weighted = !adj.edge_scale.empty();
+  for (NodeId v = row0; v < row1; ++v) {
+    float* o = out.data() + static_cast<std::int64_t>(v) * d;
+    for (auto e = adj.offsets[static_cast<std::size_t>(v)];
+         e < adj.offsets[static_cast<std::size_t>(v) + 1]; ++e) {
+      const auto ue = static_cast<std::size_t>(e);
+      const NodeId u = adj.nbrs[ue];
+      if (u >= n_lo) continue;
+      const float es = weighted ? adj.edge_scale[ue] : 1.0f;
+      const float* s = inner_src.data() + static_cast<std::int64_t>(u) * d;
+      for (std::int64_t c = 0; c < d; ++c) o[c] += es * s[c];
+    }
+  }
+}
+
+/// The destination-major scatter over sources [lo, hi), landing source u
+/// on row u - lo of dsrc: mean_aggregate_backward with lo = 0, hi = n_src,
+/// and its inner and halo halves.
+void ref_scatter(const BipartiteCsr& adj, const Matrix& dout,
+                 std::span<const float> inv_deg, NodeId lo, NodeId hi,
+                 Matrix& dsrc) {
+  const std::int64_t d = dout.cols();
+  const bool weighted = !adj.edge_scale.empty();
+  for (NodeId v = 0; v < adj.n_dst; ++v) {
+    const float w = inv_deg[static_cast<std::size_t>(v)];
+    if (w == 0.0f) continue;
+    const float* g = dout.data() + static_cast<std::int64_t>(v) * d;
+    for (auto e = adj.offsets[static_cast<std::size_t>(v)];
+         e < adj.offsets[static_cast<std::size_t>(v) + 1]; ++e) {
+      const auto ue = static_cast<std::size_t>(e);
+      const NodeId u = adj.nbrs[ue];
+      if (u < lo || u >= hi) continue;
+      const float wu = weighted ? w * adj.edge_scale[ue] : w;
+      float* t = dsrc.data() + static_cast<std::int64_t>(u - lo) * d;
+      for (std::int64_t c = 0; c < d; ++c) t[c] += wu * g[c];
+    }
+  }
+}
+
+/// One peer's fold straight off the adjacency: slot by slot, then the
+/// destinations reading that slot in (destination, edge) order.
+void ref_fold(const BipartiteCsr& adj, NodeId n_lo,
+              std::span<const NodeId> slots, const Matrix& rows,
+              Matrix& out) {
+  const std::int64_t d = rows.cols();
+  const bool weighted = !adj.edge_scale.empty();
+  for (std::size_t t = 0; t < slots.size(); ++t) {
+    const float* row = rows.data() + static_cast<std::int64_t>(t) * d;
+    for (NodeId v = 0; v < adj.n_dst; ++v) {
+      for (auto e = adj.offsets[static_cast<std::size_t>(v)];
+           e < adj.offsets[static_cast<std::size_t>(v) + 1]; ++e) {
+        const auto ue = static_cast<std::size_t>(e);
+        if (adj.nbrs[ue] != n_lo + slots[t]) continue;
+        const float es = weighted ? adj.edge_scale[ue] : 1.0f;
+        float* o = out.data() + static_cast<std::int64_t>(v) * d;
+        for (std::int64_t c = 0; c < d; ++c) o[c] += es * row[c];
+      }
+    }
+  }
+}
+
+void ref_finish(std::span<const float> inv_deg, Matrix& out) {
+  const std::int64_t d = out.cols();
+  for (std::int64_t v = 0; v < out.rows(); ++v) {
+    float* o = out.data() + v * d;
+    const float w = inv_deg[static_cast<std::size_t>(v)];
+    for (std::int64_t c = 0; c < d; ++c) o[c] = w == 0.0f ? 0.0f : o[c] * w;
+  }
+}
+
+// The panel compiled for each target_clones target, test-side:
+// always_inline pulls the one shared body into each target function.
+__attribute__((target("avx512f"))) void agg_avx512f(
+    const nn::detail::AggSpec& s, std::int64_t r0, std::int64_t r1) {
+  nn::detail::run(s, r0, r1);
+}
+__attribute__((target("avx2"))) void agg_avx2(const nn::detail::AggSpec& s,
+                                              std::int64_t r0,
+                                              std::int64_t r1) {
+  nn::detail::run(s, r0, r1);
+}
+void agg_default(const nn::detail::AggSpec& s, std::int64_t r0,
+                 std::int64_t r1) {
+  nn::detail::run(s, r0, r1);
+}
+
+struct AggTarget {
+  const char* name;
+  nn::detail::AggPanelFn panel;
+};
+
+/// The clones this host can execute (the default clone always runs).
+std::vector<AggTarget> runnable_agg_targets() {
+  __builtin_cpu_init();
+  std::vector<AggTarget> out;
+  if (__builtin_cpu_supports("avx512f"))
+    out.push_back({"avx512f", &agg_avx512f});
+  if (__builtin_cpu_supports("avx2")) out.push_back({"avx2", &agg_avx2});
+  out.push_back({"default", &agg_default});
+  return out;
+}
+
+constexpr std::int64_t kAggDims[] = {1, 15, 16, 17, 41, 64, 65, 128, 130};
+constexpr NodeId kAggDst = 70; // two row blocks, the second partial
+constexpr NodeId kAggSrc = 100; // n_lo = kAggDst inner sources, 30 halo
+
+/// Gaussian values salted with +0, -0, subnormals and (rarely) ±inf.
+Matrix agg_salted(std::int64_t rows, std::int64_t cols, Rng& rng) {
+  Matrix m(rows, cols);
+  m.randomize_gaussian(rng, 1.0f);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::int64_t i = 0; i < m.size(); ++i) {
+    const float u = rng.next_float();
+    float& v = m.data()[i];
+    if (u < 0.15f) {
+      v = 0.0f;
+    } else if (u < 0.25f) {
+      v = -0.0f;
+    } else if (u < 0.30f) {
+      v *= 1e-39f; // subnormal
+    } else if (u < 0.302f) {
+      v = inf;
+    } else if (u < 0.304f) {
+      v = -inf;
+    }
+  }
+  return m;
+}
+
+/// Every 7th destination has no arcs; about a fifth of the arcs repeat the
+/// previous neighbour; sources ≡ 3 (mod 5) are never read (empty incidence
+/// rows, inner and halo). Weighted scales include 0 and negatives, which
+/// the kernels must multiply rather than skip.
+BipartiteCsr oracle_adj(Rng& rng, bool weighted) {
+  BipartiteCsr adj;
+  adj.n_dst = kAggDst;
+  adj.n_src = kAggSrc;
+  adj.offsets.push_back(0);
+  for (NodeId v = 0; v < adj.n_dst; ++v) {
+    const int deg = v % 7 == 0 ? 0 : static_cast<int>(rng.next_u64() % 12);
+    for (int e = 0; e < deg; ++e) {
+      NodeId u = static_cast<NodeId>(rng.next_u64() % kAggSrc);
+      if (u % 5 == 3) u = (u + 1) % kAggSrc;
+      if (e > 0 && rng.next_float() < 0.2f) u = adj.nbrs.back();
+      adj.nbrs.push_back(u);
+    }
+    adj.offsets.push_back(static_cast<EdgeId>(adj.nbrs.size()));
+  }
+  if (weighted) {
+    for (std::size_t e = 0; e < adj.nbrs.size(); ++e) {
+      const float u = rng.next_float();
+      adj.edge_scale.push_back(u < 0.1f ? 0.0f : u < 0.2f ? -1.25f
+                                                          : 0.5f + u);
+    }
+  }
+  adj.validate();
+  return adj;
+}
+
+/// 1/degree, except every 9th destination gets 0 even when it has arcs
+/// (the kernels skip by inv_deg, not by degree).
+std::vector<float> oracle_inv_deg(const BipartiteCsr& adj) {
+  std::vector<float> inv = full_inv_deg(adj);
+  for (std::size_t v = 4; v < inv.size(); v += 9) inv[v] = 0.0f;
+  return inv;
+}
+
+::testing::AssertionResult same_bytes(const Matrix& got, const Matrix& want) {
+  if (got.size() == want.size() &&
+      std::memcmp(got.data(), want.data(),
+                  static_cast<std::size_t>(got.size()) * sizeof(float)) == 0)
+    return ::testing::AssertionSuccess();
+  for (std::int64_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    if (std::bit_cast<std::uint32_t>(got.data()[i]) !=
+        std::bit_cast<std::uint32_t>(want.data()[i]))
+      return ::testing::AssertionFailure()
+             << "first difference at flat index " << i << ": got "
+             << got.data()[i] << ", want " << want.data()[i];
+  }
+  return ::testing::AssertionFailure() << "sizes differ";
+}
+
+/// Runs `kernel(panel, out)` for the shipped dispatcher (panel == nullptr)
+/// and for every runnable clone, at 1 and 4 threads, each on a fresh copy
+/// of out0, and compares against `want`.
+template <typename Kernel>
+void expect_agg_bits(const Matrix& out0, const Matrix& want,
+                     const std::string& what, Kernel&& kernel) {
+  static const std::vector<AggTarget> targets = runnable_agg_targets();
+  for (const int threads : {1, 4}) {
+    common::set_ops_threads(threads);
+    Matrix got = out0;
+    kernel(nullptr, got);
+    EXPECT_TRUE(same_bytes(got, want))
+        << what << ", shipped, " << threads << " threads";
+    for (const AggTarget& t : targets) {
+      Matrix got_t = out0;
+      kernel(t.panel, got_t);
+      EXPECT_TRUE(same_bytes(got_t, want))
+          << what << ", " << t.name << " clone, " << threads << " threads";
+    }
+  }
+  common::set_ops_threads(1);
+}
+
+/// Visits (weighted, d) over both adjacency kinds and every oracle width.
+template <typename Body>
+void for_agg_shapes(Body&& body) {
+  for (const bool weighted : {false, true}) {
+    Rng rng(weighted ? 41 : 40);
+    const BipartiteCsr adj = oracle_adj(rng, weighted);
+    const std::vector<float> inv = oracle_inv_deg(adj);
+    for (const std::int64_t d : kAggDims) {
+      body(adj, inv, d, rng,
+           std::string(weighted ? "weighted" : "unweighted") +
+               " d=" + std::to_string(d));
+    }
+  }
+}
+
+TEST(AggregateOracle, ForwardBitExactOnEveryTarget) {
+  for_agg_shapes([](const BipartiteCsr& adj, const std::vector<float>& inv,
+                    std::int64_t d, Rng& rng, const std::string& what) {
+    const Matrix src = agg_salted(adj.n_src, d, rng);
+    Matrix want;
+    ref_mean_aggregate(adj, src, inv, want);
+    // The kernel resizes (and zeroes) out itself: start from a wrong shape.
+    expect_agg_bits(Matrix(3, 2), want, "mean_aggregate " + what,
+                    [&](nn::detail::AggPanelFn panel, Matrix& out) {
+                      if (panel == nullptr) {
+                        nn::mean_aggregate(adj, src, inv, out);
+                      } else {
+                        nn::detail::mean_aggregate_with(panel, adj, src, inv,
+                                                        out);
+                      }
+                    });
+  });
+}
+
+TEST(AggregateOracle, InnerRowsChunkedBitExactOnEveryTarget) {
+  // Chunks as the trainer drives them: single rows, a chunk crossing the
+  // row-block boundary, the tail. Accumulates into salted values.
+  const std::pair<NodeId, NodeId> chunks[] = {
+      {0, 1}, {1, 7}, {7, 66}, {66, 67}, {67, kAggDst}};
+  for_agg_shapes([&](const BipartiteCsr& adj, const std::vector<float>&,
+                     std::int64_t d, Rng& rng, const std::string& what) {
+    const Matrix inner = agg_salted(adj.n_dst, d, rng);
+    const Matrix out0 = agg_salted(adj.n_dst, d, rng);
+    Matrix want = out0;
+    for (const auto& [r0, r1] : chunks) ref_inner_rows(adj, inner, r0, r1, want);
+    expect_agg_bits(out0, want, "mean_aggregate_inner_rows " + what,
+                    [&](nn::detail::AggPanelFn panel, Matrix& out) {
+                      for (const auto& [r0, r1] : chunks) {
+                        if (panel == nullptr) {
+                          nn::mean_aggregate_inner_rows(adj, inner, r0, r1,
+                                                        out);
+                        } else {
+                          nn::detail::mean_aggregate_inner_rows_with(
+                              panel, adj, inner, r0, r1, out);
+                        }
+                      }
+                    });
+  });
+}
+
+TEST(AggregateOracle, FoldAndFinishBitExactOnEveryTarget) {
+  // The whole split-phase forward: inner rows (per target), two peers'
+  // folds in order into the halo buffer, the combine, the finish.
+  for_agg_shapes([](const BipartiteCsr& adj, const std::vector<float>& inv,
+                    std::int64_t d, Rng& rng, const std::string& what) {
+    nn::SourceIncidence inc;
+    inc.build(adj, adj.n_dst);
+    const Matrix inner = agg_salted(adj.n_dst, d, rng);
+    const std::vector<NodeId> peer_a = {3, 0, 17, 8, 29};
+    const std::vector<NodeId> peer_b = {1, 2, 28, 13, 4, 21};
+    const Matrix slab_a = agg_salted(static_cast<NodeId>(peer_a.size()), d, rng);
+    const Matrix slab_b = agg_salted(static_cast<NodeId>(peer_b.size()), d, rng);
+    const auto combine = [&](Matrix& z, const Matrix& halo) {
+      for (std::int64_t i = 0; i < z.size(); ++i) z.data()[i] += halo.data()[i];
+    };
+    Matrix want(adj.n_dst, d), want_halo(adj.n_dst, d);
+    ref_inner_rows(adj, inner, 0, adj.n_dst, want);
+    ref_fold(adj, adj.n_dst, peer_a, slab_a, want_halo);
+    ref_fold(adj, adj.n_dst, peer_b, slab_b, want_halo);
+    combine(want, want_halo);
+    ref_finish(inv, want);
+    const auto span_of = [](const Matrix& m) {
+      return std::span<const float>(m.data(), static_cast<std::size_t>(m.size()));
+    };
+    expect_agg_bits(
+        Matrix(adj.n_dst, d), want, "inner + fold + finish " + what,
+        [&](nn::detail::AggPanelFn panel, Matrix& z) {
+          if (panel == nullptr) {
+            nn::mean_aggregate_inner_rows(adj, inner, 0, adj.n_dst, z);
+          } else {
+            nn::detail::mean_aggregate_inner_rows_with(panel, adj, inner, 0,
+                                                       adj.n_dst, z);
+          }
+          Matrix halo(adj.n_dst, d);
+          nn::mean_aggregate_halo_fold(inc, peer_a, span_of(slab_a), d, halo);
+          nn::mean_aggregate_halo_fold(inc, peer_b, span_of(slab_b), d, halo);
+          combine(z, halo);
+          nn::mean_aggregate_finish(inv, z);
+        });
+  });
+}
+
+TEST(AggregateOracle, BackwardBitExactOnEveryTarget) {
+  for_agg_shapes([](const BipartiteCsr& adj, const std::vector<float>& inv,
+                    std::int64_t d, Rng& rng, const std::string& what) {
+    nn::SourceIncidence inc;
+    inc.build(adj, adj.n_dst);
+    const NodeId n_lo = adj.n_dst;
+    const Matrix dout = agg_salted(adj.n_dst, d, rng);
+    // Fused: every source row, accumulated into salted values.
+    const Matrix dsrc0 = agg_salted(adj.n_src, d, rng);
+    Matrix want = dsrc0;
+    ref_scatter(adj, dout, inv, 0, adj.n_src, want);
+    expect_agg_bits(dsrc0, want, "mean_aggregate_backward " + what,
+                    [&](nn::detail::AggPanelFn panel, Matrix& dsrc) {
+                      if (panel == nullptr) {
+                        nn::mean_aggregate_backward(adj, dout, inv, dsrc);
+                      } else {
+                        nn::detail::mean_aggregate_backward_with(
+                            panel, adj, dout, inv, dsrc);
+                      }
+                    });
+    // The inner and halo halves over the epoch's incidence.
+    const Matrix dinner0 = agg_salted(n_lo, d, rng);
+    want = dinner0;
+    ref_scatter(adj, dout, inv, 0, n_lo, want);
+    expect_agg_bits(dinner0, want, "mean_aggregate_backward_inner " + what,
+                    [&](nn::detail::AggPanelFn panel, Matrix& dinner) {
+                      if (panel == nullptr) {
+                        nn::mean_aggregate_backward_inner(inc, dout, inv,
+                                                          dinner);
+                      } else {
+                        nn::detail::mean_aggregate_backward_inner_with(
+                            panel, inc, dout, inv, dinner);
+                      }
+                    });
+    const Matrix dhalo0 = agg_salted(adj.n_src - n_lo, d, rng);
+    want = dhalo0;
+    ref_scatter(adj, dout, inv, n_lo, adj.n_src, want);
+    expect_agg_bits(dhalo0, want, "mean_aggregate_backward_halo " + what,
+                    [&](nn::detail::AggPanelFn panel, Matrix& dhalo) {
+                      if (panel == nullptr) {
+                        nn::mean_aggregate_backward_halo(inc, dout, inv,
+                                                         dhalo);
+                      } else {
+                        nn::detail::mean_aggregate_backward_halo_with(
+                            panel, inc, dout, inv, dhalo);
+                      }
+                    });
+  });
+}
+
+TEST(AggregateOracle, SourceIncidenceIsTheTransposeInScatterOrder) {
+  Rng rng(42);
+  const BipartiteCsr adj = oracle_adj(rng, /*weighted=*/true);
+  nn::SourceIncidence inc;
+  inc.build(adj, 60);
+  EXPECT_EQ(inc.n_lo, 60);
+  EXPECT_EQ(inc.n_halo(), kAggSrc - 60);
+  ASSERT_EQ(inc.offsets.size(), static_cast<std::size_t>(kAggSrc) + 1);
+  // Walking the adjacency destination-major yields each source's entries
+  // in incidence order.
+  std::vector<EdgeId> cursor(inc.offsets.begin(), inc.offsets.end() - 1);
+  for (NodeId v = 0; v < adj.n_dst; ++v) {
+    for (auto e = adj.offsets[static_cast<std::size_t>(v)];
+         e < adj.offsets[static_cast<std::size_t>(v) + 1]; ++e) {
+      const auto u = static_cast<std::size_t>(adj.nbrs[static_cast<std::size_t>(e)]);
+      const auto at = static_cast<std::size_t>(cursor[u]++);
+      EXPECT_EQ(inc.dsts[at], v);
+      EXPECT_EQ(inc.scales[at], adj.edge_scale[static_cast<std::size_t>(e)]);
+    }
+  }
+  for (std::size_t u = 0; u < cursor.size(); ++u) {
+    EXPECT_EQ(cursor[u], inc.offsets[u + 1]) << "source " << u;
+    if (u % 5 == 3) {
+      EXPECT_EQ(inc.offsets[u], inc.offsets[u + 1]) << "source " << u;
+    }
+  }
+  // Unweighted adjacencies store no scales.
+  nn::SourceIncidence plain;
+  plain.build(oracle_adj(rng, /*weighted=*/false), 60);
+  EXPECT_TRUE(plain.scales.empty());
 }
 
 } // namespace

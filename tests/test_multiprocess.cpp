@@ -8,13 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <set>
 #include <stdexcept>
 #include <string>
 
+#include "api/multiprocess.hpp"
 #include "api/run.hpp"
 #include "api/serialize.hpp"
+#include "comm/process_group.hpp"
 #include "partition/metis_like.hpp"
 
 namespace bnsgcn {
@@ -199,6 +207,94 @@ TEST(Multiprocess, MailboxThreadPathAlsoUnwindsOnDeadRank) {
         << e.what();
   }
   alarm(0);
+}
+
+// ---- UDS group cleanup on failure -------------------------------------
+// A failure after the socket directory exists (a listener that cannot be
+// created midway through the group, a pipe that cannot be opened) must
+// leave nothing under $TMPDIR. Each case runs in a forked child with a
+// private $TMPDIR and an RLIMIT_NOFILE that leaves exactly `free_fds` fd
+// numbers, so the failure is deterministic and the limit never touches
+// the test process itself.
+
+/// The RLIMIT_NOFILE soft limit that leaves exactly `free_fds` descriptor
+/// numbers unused in this process.
+rlim_t nofile_limit_leaving(int free_fds) {
+  std::set<int> open;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return 0;
+  const int own = ::dirfd(dir); // closed again below: not really open
+  while (const dirent* e = ::readdir(dir)) {
+    if (e->d_name[0] == '.') continue;
+    const int fd = std::atoi(e->d_name);
+    if (fd != own) open.insert(fd);
+  }
+  ::closedir(dir);
+  int limit = 0;
+  for (int left = free_fds; left > 0; ++limit)
+    if (open.count(limit) == 0) --left;
+  return static_cast<rlim_t>(limit);
+}
+
+/// Runs `body` in a forked child with $TMPDIR set to a fresh directory and
+/// the fd limit lowered; returns the directory entries the child left
+/// behind whose name starts with "bnsgcn-uds-".
+template <typename Body>
+std::vector<std::string> leftovers_after_failure(int free_fds, Body&& body) {
+  namespace fs = std::filesystem;
+  const char* base_env = std::getenv("TMPDIR");
+  std::string tmpl = std::string(base_env != nullptr && *base_env != '\0'
+                                     ? base_env
+                                     : "/tmp") +
+                     "/bnsgcn-cleanup-test-XXXXXX";
+  EXPECT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const std::string tmpdir = tmpl;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::setenv("TMPDIR", tmpdir.c_str(), 1);
+    rlimit lim{};
+    ::getrlimit(RLIMIT_NOFILE, &lim);
+    lim.rlim_cur = nofile_limit_leaving(free_fds);
+    int code = ::setrlimit(RLIMIT_NOFILE, &lim) == 0 ? 2 : 3;
+    try {
+      body();
+    } catch (const CheckError&) {
+      code = 0; // the expected, named failure
+    } catch (...) {
+      code = 4;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "child did not fail with a CheckError (status " << status << ")";
+  std::vector<std::string> left;
+  for (const auto& e : fs::directory_iterator(tmpdir)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("bnsgcn-uds-", 0) == 0) left.push_back(name);
+  }
+  fs::remove_all(tmpdir);
+  return left;
+}
+
+TEST(LocalGroupCleanup, ListenerFailureMidGroupRemovesTheUdsDirectory) {
+  // Three listeners fit, the fourth of six cannot be created.
+  const auto left = leftovers_after_failure(3, [] {
+    (void)comm::make_local_group(TransportKind::kUds, 6);
+  });
+  EXPECT_TRUE(left.empty()) << "leaked " << left.front();
+}
+
+TEST(LocalGroupCleanup, PipeFailureInRunRanksPipedRemovesTheUdsDirectory) {
+  // All four listeners fit; the report pipe's two descriptors do not.
+  const auto left = leftovers_after_failure(4, [] {
+    (void)api::run_ranks_piped(TransportKind::kUds, 4, comm::CostModel{},
+                               [](comm::Fabric&, PartId) {
+                                 return std::string("unreachable");
+                               });
+  });
+  EXPECT_TRUE(left.empty()) << "leaked " << left.front();
 }
 
 } // namespace

@@ -186,6 +186,52 @@ TEST(Ops, ReluForwardBackward) {
   EXPECT_FLOAT_EQ(g.at(1, 1), 0.0f);
 }
 
+TEST(Ops, ReluMatchesBranchyReferenceBitForBit) {
+  // The special values in every position of a vector-sized run, plus
+  // random signs: ±0, ±inf, NaN and ± subnormals, against the branches the
+  // select loops replaced.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0f,  -0.0f, inf,  -inf, nan,
+                            -nan,  sub,   -sub, 1e-39f, -1e-39f,
+                            1.0f,  -1.0f};
+  Rng rng(31);
+  Matrix x(7, 37);
+  x.randomize_gaussian(rng, 1.0f);
+  for (std::int64_t i = 0; i < x.size(); i += 3)
+    x.data()[i] = specials[static_cast<std::size_t>(i / 3) % std::size(specials)];
+
+  Matrix want_x = x, want_m(x.rows(), x.cols());
+  Matrix want_y = x;
+  for (std::int64_t i = 0; i < x.size(); ++i) {
+    float& v = want_x.data()[i];
+    if (v > 0.0f) {
+      want_m.data()[i] = 1.0f;
+    } else {
+      v = 0.0f;
+      want_m.data()[i] = 0.0f;
+    }
+    if (want_y.data()[i] <= 0.0f) want_y.data()[i] = 0.0f;
+  }
+  const auto same = [](const Matrix& a, const Matrix& b) {
+    return std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+  };
+  Matrix got_x = x, got_m;
+  ops::relu_forward(got_x, got_m);
+  EXPECT_TRUE(same(got_x, want_x));
+  EXPECT_TRUE(same(got_m, want_m));
+  Matrix got_y = x;
+  ops::relu_forward(got_y);
+  EXPECT_TRUE(same(got_y, want_y));
+  // The pinned corners: -0 and NaN give +0 through the masked overload; the
+  // unmasked one passes NaN through.
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(got_x.data()[3]), 0u);  // -0
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(got_x.data()[12]), 0u); // NaN
+  EXPECT_TRUE(std::isnan(got_y.data()[12]));
+}
+
 TEST(Ops, LeakyRelu) {
   Matrix x{{-2, 4}};
   Matrix mask;
@@ -498,21 +544,21 @@ TEST(OpsThreadsParity, MeanAggregateFamily) {
       dsrc.zero();
       nn::mean_aggregate_backward(adj, dout, inv, dsrc);
     });
+    nn::SourceIncidence inc;
+    inc.build(adj, n_lo);
     check_threads_parity("mean_aggregate_backward_halo", [&](Matrix& dhalo) {
       dhalo.resize(n_src - n_lo, d);
       dhalo.zero();
-      nn::mean_aggregate_backward_halo(adj, dout, inv, n_lo, dhalo);
+      nn::mean_aggregate_backward_halo(inc, dout, inv, dhalo);
     });
     check_threads_parity("mean_aggregate_backward_inner", [&](Matrix& di) {
       di.resize(n_lo, d);
       di.zero();
-      nn::mean_aggregate_backward_inner(adj, dout, inv, n_lo, di);
+      nn::mean_aggregate_backward_inner(inc, dout, inv, di);
     });
 
-    nn::HaloIncidence inc;
-    inc.build(adj, n_lo);
     std::vector<NodeId> slots;
-    for (NodeId s = 0; s < inc.n_halo; s += 2) slots.push_back(s);
+    for (NodeId s = 0; s < inc.n_halo(); s += 2) slots.push_back(s);
     Matrix halo_rows(static_cast<std::int64_t>(slots.size()), d);
     halo_rows.randomize_gaussian(rng, 1.0f);
     const std::span<const float> rows_span(
