@@ -11,7 +11,7 @@
 //
 // Enforced gates (nonzero exit on violation, all '!!'-marked):
 //  - staleness 0 is bit-identical to the uncached run — losses compared
-//    through the bit pattern — for {sage, gat} × {blocking, bulk, stream,
+//    through the bit pattern — for {sage, gat} × {blocking, stream,
 //    chunked-stream} at 4 partitions on the mailbox, and for a cached
 //    UDS run against its mailbox twin at 2 partitions;
 //  - at 8 partitions with the top-quartile budget, every warm epoch ships
@@ -216,7 +216,6 @@ int main(int argc, char** argv) {
       NodeId chunk;
       const char* name;
     } kModes[] = {{core::OverlapMode::kBlocking, 0, "blocking"},
-                  {core::OverlapMode::kBulk, 0, "bulk"},
                   {core::OverlapMode::kStream, 0, "stream"},
                   {core::OverlapMode::kStream, 96, "chunked"}};
     for (const core::ModelKind model :

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify: docs link check, determinism lint, then configure, build
 # everything (library, benches, examples, test binaries, tools) and run the
-# full test suite — including test_overlap, the blocking/bulk/stream
-# three-way bit-parity gate of the async fabric (run once more by name so a
+# full test suite — including test_overlap, the blocking/stream/chunked
+# bit-parity gate of the async fabric (run once more by name so a
 # regression there is called out explicitly) — then a stream-mode
 # bench_overlap smoke, the artifact replay gates, and the instrumented
 # build matrix (checked contracts, TSan, ASan+LSan, UBSan).
@@ -57,11 +57,11 @@ BNSGCN_FUZZ_SEED=20260729 BNSGCN_FUZZ_ITERS=8 ./build/tests/test_schedule_fuzz
 SMOKE_SEED=$((16#$(git rev-parse --short=8 HEAD 2>/dev/null || echo 2bd5)))
 ./build/tests/test_schedule_fuzz --fuzz-seed="$SMOKE_SEED" --fuzz-iters=6
 
-# Four-schedule smoke: bench_overlap runs blocking/bulk/stream/chunked-
-# stream on every Fig. 4 config and exits non-zero when losses diverge
-# bitwise across schedules or when stream OR chunked stream hides
-# measurably less than bulk at >= 8 partitions — neither schedule can
-# silently regress to blocking. Output stays in the log: the '!!' lines
+# Three-schedule smoke: bench_overlap runs blocking/stream/chunked-stream
+# on every Fig. 4 config and exits non-zero when losses diverge bitwise
+# across schedules or when stream OR chunked stream hides no exchange time
+# at >= 8 partitions (blocking hides none by construction) — neither
+# schedule can silently regress to blocking. Output stays in the log: the '!!' lines
 # name the violating dataset/row on failure. The artifact feeds the
 # chunked-stream replay gate below.
 OVERLAP_ARTIFACT=build/overlap_gate_artifact.json
@@ -72,15 +72,15 @@ rm -f "$OVERLAP_ARTIFACT"
 # 2 partitions — one forked OS process per rank, sockets under $TMPDIR
 # (no fixed TCP ports; hermetic under parallel CI). Losses must stay
 # bit-identical across schedules; comm columns are measured wall-clock,
-# so the simulated overlap envelope is (correctly) not gated here.
+# so the simulated hidden-time gate is (correctly) not applied here.
 ./build/bench/bench_overlap --transport uds --parts 2 --scale 0.25 \
   --epochs 2 --json build/overlap_uds_smoke.json
 
-# Chunked-stream replay gate: the first four rows of the overlap artifact
-# are one config under all four schedules (chunked stream included);
+# Chunked-stream replay gate: the first three rows of the overlap artifact
+# are one config under all three schedules (chunked stream included);
 # replaying them proves the chunk knob round-trips through the recorded
 # RunConfig and reproduces the deterministic metrics exactly.
-./build/bench/bench_replay "$OVERLAP_ARTIFACT" --rows 4
+./build/bench/bench_replay "$OVERLAP_ARTIFACT" --rows 3
 
 # Replay gate: every artifact row records its RunConfig; re-running one
 # must reproduce the recorded deterministic metrics exactly

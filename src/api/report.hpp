@@ -67,8 +67,7 @@ struct RunReport {
     return core::throughput_eps(epochs);
   }
   /// Mean per-epoch exchange time hidden by communication–computation
-  /// overlap (0 when RunConfig::comm.overlap is OverlapMode::kBlocking;
-  /// the stream schedule widens it over bulk).
+  /// overlap (0 when RunConfig::comm.overlap is OverlapMode::kBlocking).
   [[nodiscard]] double overlap_saved_s() const {
     return mean_epoch().overlap_s;
   }

@@ -127,7 +127,7 @@ std::deque<MethodInfo>& mutable_registry() {
 } // namespace
 
 // The two overlap spellings combine by taking the more aggressive schedule
-// (modes are ordered blocking < bulk < stream), so either knob alone works.
+// (modes are ordered blocking < stream), so either knob alone works.
 core::TrainerConfig engine_config(const RunConfig& cfg) {
   core::TrainerConfig tcfg = cfg.trainer;
   tcfg.overlap = std::max(cfg.comm.overlap, cfg.trainer.overlap);

@@ -34,15 +34,14 @@ enum class Method {
 /// Communication-fabric knobs shared by the partition-parallel methods
 /// (BNS, the ROC proxy, and — where applicable — the CAGNET proxy).
 struct CommSpec {
-  /// Boundary-exchange schedule (docs/ARCHITECTURE.md §4): blocking, bulk
-  /// (one wait_all hidden behind the halo-independent compute phase) or
+  /// Boundary-exchange schedule (docs/ARCHITECTURE.md §4): blocking or
   /// stream (per-peer progressive folds via comm::RequestSet polling).
-  /// Results are bit-identical across all three modes; only the simulated
+  /// Results are bit-identical across both modes; only the simulated
   /// epoch time (EpochBreakdown::overlap_s) changes. Safe for every
   /// method: SAGE and GAT both run the phased schedule, the CAGNET dense
   /// broadcast ignores the knob, the minibatch baselines have no fabric
-  /// to overlap. JSON spells modes "blocking" / "bulk" / "stream" and
-  /// still accepts the legacy PR 2 bool (true → bulk).
+  /// to overlap. JSON spells modes "blocking" / "stream"; the legacy
+  /// "bulk" and bool `true` spellings load as stream.
   core::OverlapMode overlap = core::OverlapMode::kBlocking;
 
   /// Chunk size (destination rows) of the halo-independent forward phase:

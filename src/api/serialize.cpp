@@ -216,22 +216,23 @@ core::SamplingVariant variant_from_name(const std::string& s) {
 const char* overlap_mode_name(core::OverlapMode m) {
   switch (m) {
     case core::OverlapMode::kBlocking: return "blocking";
-    case core::OverlapMode::kBulk: return "bulk";
     case core::OverlapMode::kStream: return "stream";
   }
   return "blocking";
 }
 
-/// Reads both the current string spelling and the PR 2 artifact schema,
-/// where the overlap knob was a bool (true meant the bulk pipeline).
+/// Reads the current string spelling and two legacy ones: "bulk" (a third
+/// schedule, one wait_all after the halo-independent phase) and the older
+/// bool schema (true meant that bulk pipeline). Both load as stream: every
+/// schedule runs the identical fp instruction stream, so a legacy artifact
+/// replays the same bits.
 core::OverlapMode overlap_mode_from_json(const json::Value& f) {
   if (f.kind() == json::Value::Kind::kBool)
-    return f.as_bool() ? core::OverlapMode::kBulk
+    return f.as_bool() ? core::OverlapMode::kStream
                        : core::OverlapMode::kBlocking;
   const std::string s = f.as_string();
   if (s == "blocking") return core::OverlapMode::kBlocking;
-  if (s == "bulk") return core::OverlapMode::kBulk;
-  if (s == "stream") return core::OverlapMode::kStream;
+  if (s == "stream" || s == "bulk") return core::OverlapMode::kStream;
   BNSGCN_CHECK_MSG(false, "unknown overlap mode: " + s);
   return core::OverlapMode::kBlocking;
 }

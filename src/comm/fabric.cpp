@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <thread>
 
 #include "comm/mailbox_transport.hpp"
@@ -28,6 +29,60 @@ double RankStats::sim_seconds(TrafficClass cls, const CostModel& cost) const {
   const double rx = static_cast<double>(rx_msgs[i]) * cost.latency_s +
                     static_cast<double>(rx_bytes[i]) / cost.bytes_per_s;
   return std::max(tx, rx);
+}
+
+RankStats operator-(const RankStats& now, const RankStats& before) {
+  RankStats d;
+  for (int c = 0; c < static_cast<int>(TrafficClass::kCount); ++c) {
+    d.tx_bytes[c] = now.tx_bytes[c] - before.tx_bytes[c];
+    d.rx_bytes[c] = now.rx_bytes[c] - before.rx_bytes[c];
+    d.tx_msgs[c] = now.tx_msgs[c] - before.tx_msgs[c];
+    d.rx_msgs[c] = now.rx_msgs[c] - before.rx_msgs[c];
+  }
+  return d;
+}
+
+void run_rank_threads(Fabric& fabric,
+                      const std::function<void(PartId)>& body) {
+  const PartId m = fabric.nranks();
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(m));
+  {
+    // lint: allow(raw-thread) — rank runtime, one OS thread per simulated
+    // rank; kernel-level parallelism inside each rank uses the pool.
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(m));
+    try {
+      for (PartId r = 0; r < m; ++r) {
+        threads.emplace_back([&, r] {
+          try {
+            body(r);
+          } catch (...) {
+            errors[static_cast<std::size_t>(r)] = std::current_exception();
+            fabric.shutdown(r);
+          }
+        });
+      }
+    } catch (...) {
+      // A rank whose thread never started leaves its peers waiting on it:
+      // unwind the started ones through the shutdown path, join, rethrow.
+      for (PartId r = 0; r < m; ++r) fabric.shutdown(r);
+      for (auto& t : threads) t.join();
+      throw;
+    }
+    for (auto& t : threads) t.join();
+  }
+  std::exception_ptr first;
+  for (const auto& e : errors) {
+    if (!e) continue;
+    if (!first) first = e;
+    try {
+      std::rethrow_exception(e);
+    } catch (const ShutdownError&) {
+    } catch (...) {
+      throw;
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 Fabric::Fabric(PartId nranks, CostModel cost)

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -40,6 +41,10 @@ struct RankStats {
   [[nodiscard]] double sim_seconds(TrafficClass cls,
                                    const CostModel& cost) const;
 };
+
+/// Traffic between two snapshots of one rank's counters (`now - before`).
+[[nodiscard]] RankStats operator-(const RankStats& now,
+                                  const RankStats& before);
 
 class Fabric;
 class Request;
@@ -183,6 +188,15 @@ class Fabric {
   CostModel cost_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
 };
+
+/// The in-process rank runtime: run `body(r)` for every rank of `fabric`,
+/// each on its own OS thread, and join them. A rank that throws tears the
+/// fabric down from its side (Fabric::shutdown), so peers blocked on it
+/// unwind with ShutdownError instead of hanging; once every thread joined,
+/// the root cause — the first error that is not such collateral — is
+/// rethrown (the first ShutdownError if that is all there is).
+void run_rank_threads(Fabric& fabric,
+                      const std::function<void(PartId)>& body);
 
 /// Handle to a nonblocking operation. Sends are complete on creation
 /// (eager deposit); receives complete when the matching message is taken

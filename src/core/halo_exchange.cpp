@@ -190,30 +190,10 @@ std::span<float> HaloExchanger::slab_rows(PendingExchange& px,
   return fold_scratch_;
 }
 
-void HaloExchanger::fold_forward(PendingExchange& px, const EpochPlan& plan,
-                                 float scale, Matrix& dst, NodeId halo_row0) {
-  const std::int64_t d = dst.cols();
-  for (std::size_t k = 0; k < px.recvs.size(); ++k) {
-    const auto& slots =
-        plan.recv_slots[static_cast<std::size_t>(px.peers[k])];
-    comm::Wire msg = px.recvs.at(k).take_payload();
-    const auto rows = slab_rows(px, plan, k, msg, d);
-    for (std::size_t t = 0; t < slots.size(); ++t) {
-      float* out = dst.data() +
-                   (static_cast<std::int64_t>(halo_row0) +
-                    static_cast<std::int64_t>(slots[t])) * d;
-      const float* src = rows.data() + t * static_cast<std::size_t>(d);
-      for (std::int64_t c = 0; c < d; ++c) out[c] = scale * src[c];
-    }
-    ep_.release_floats(std::move(msg.floats));
-  }
-}
-
-PendingExchange HaloExchanger::post_backward(const Matrix& dsrc,
-                                             NodeId halo_row0,
+PendingExchange HaloExchanger::post_backward(const Matrix& dhalo,
                                              const EpochPlan& plan,
                                              float scale, int tag) {
-  const std::int64_t d = dsrc.cols();
+  const std::int64_t d = dhalo.cols();
   PendingExchange px;
   std::int64_t tx_bytes = 0, rx_bytes = 0, tx_msgs = 0, rx_msgs = 0;
   for (PartId j = 0; j < ep_.nranks(); ++j) {
@@ -222,9 +202,8 @@ PendingExchange HaloExchanger::post_backward(const Matrix& dsrc,
     auto payload =
         ep_.acquire_floats(slots.size() * static_cast<std::size_t>(d));
     for (std::size_t t = 0; t < slots.size(); ++t) {
-      const float* src = dsrc.data() +
-                         (static_cast<std::int64_t>(halo_row0) +
-                          static_cast<std::int64_t>(slots[t])) * d;
+      const float* src =
+          dhalo.data() + static_cast<std::int64_t>(slots[t]) * d;
       float* dst = payload.data() + t * static_cast<std::size_t>(d);
       for (std::int64_t c = 0; c < d; ++c) dst[c] = scale * src[c];
     }
@@ -250,45 +229,44 @@ PendingExchange HaloExchanger::post_backward(const Matrix& dsrc,
   return px;
 }
 
-void HaloExchanger::fold_backward(PendingExchange& px, const EpochPlan& plan,
-                                  Matrix& dinner) {
-  const std::int64_t d = dinner.cols();
-  for (std::size_t k = 0; k < px.recvs.size(); ++k) {
-    const auto& rows = plan.send_rows[static_cast<std::size_t>(px.peers[k])];
-    comm::Wire msg = px.recvs.at(k).take_payload();
-    BNSGCN_CHECK(msg.floats.size() ==
-                 rows.size() * static_cast<std::size_t>(d));
-    for (std::size_t t = 0; t < rows.size(); ++t) {
-      float* dst = dinner.data() + static_cast<std::int64_t>(rows[t]) * d;
-      const float* src = msg.floats.data() + t * static_cast<std::size_t>(d);
-      for (std::int64_t c = 0; c < d; ++c) dst[c] += src[c];
-    }
-    ep_.release_floats(std::move(msg.floats));
+Matrix HaloExchanger::forward_layer(nn::Layer& layer, const Matrix& h_in,
+                                    const EpochPlan& plan,
+                                    nn::SourceIncidence& inc,
+                                    std::span<const float> inv_deg,
+                                    const LayerStep& step,
+                                    Accumulator& compute_acc,
+                                    ExchangeTally& tally) {
+  PendingExchange px = post_forward(h_in, plan, step.tag, step.cache_layer);
+  FoldDriver fold(px, opt_.mode); // blocking waits for every peer here
+  // The in-flight window is accumulated phase by phase (not wall time
+  // across the loop) so interleaved fold work is not counted twice — the
+  // driver tracks the fold share separately.
+  Accumulator window_acc;
+  {
+    ScopedTimer t(compute_acc);
+    ScopedTimer w(window_acc);
+    layer.forward_inner_begin(plan.adj, h_in, step.training);
+    if (step.build_inc) inc.build(plan.adj, plan.adj.n_dst);
+    layer.forward_halo_begin(plan.adj, inc);
   }
-}
-
-Matrix HaloExchanger::exchange_forward(const Matrix& h_inner, NodeId n_inner,
-                                       const EpochPlan& plan, float scale,
-                                       int tag, int layer) {
-  const std::int64_t d = h_inner.cols();
-  Matrix feats(n_inner + plan.n_kept_halo, d);
-  std::copy(h_inner.data(), h_inner.data() + h_inner.size(), feats.data());
-  PendingExchange px = post_forward(h_inner, plan, tag, layer);
-  fold_forward(px, plan, scale, feats, /*halo_row0=*/n_inner);
-  return feats;
-}
-
-Matrix HaloExchanger::exchange_backward(const Matrix& dfeats, NodeId n_inner,
-                                        const EpochPlan& plan, float scale,
-                                        int tag) {
-  const std::int64_t d = dfeats.cols();
-  PendingExchange px =
-      post_backward(dfeats, /*halo_row0=*/n_inner, plan, scale, tag);
-  Matrix dh(n_inner, d);
-  std::copy(dfeats.data(),
-            dfeats.data() + static_cast<std::int64_t>(n_inner) * d, dh.data());
-  fold_backward(px, plan, dh);
-  return dh;
+  auto apply =
+      make_forward_fold(px, plan, layer, plan.halo_scale, h_in.cols());
+  const NodeId n_dst = plan.adj.n_dst;
+  const NodeId chunk =
+      opt_.inner_chunk_rows > 0 ? opt_.inner_chunk_rows : n_dst;
+  for (NodeId r0 = 0; r0 < n_dst; r0 += chunk) {
+    const NodeId r1 = std::min<NodeId>(r0 + chunk, n_dst);
+    {
+      ScopedTimer t(compute_acc);
+      ScopedTimer w(window_acc);
+      layer.forward_inner_chunk(plan.adj, r0, r1);
+    }
+    fold.poll(apply, compute_acc);
+  }
+  fold.drain(apply, compute_acc);
+  tally.add(px, fold, window_acc);
+  ScopedTimer t(compute_acc);
+  return layer.forward_halo_finish(plan.adj, inv_deg);
 }
 
 } // namespace bnsgcn::core

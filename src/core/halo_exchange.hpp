@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -12,20 +13,33 @@
 
 namespace bnsgcn::core {
 
+/// How the boundary exchanges are scheduled against compute
+/// (docs/ARCHITECTURE.md §4). Both modes execute the identical fp schedule
+/// — per-peer folds applied in fixed peer order at the same points of the
+/// split-phase protocol — so results are bit-exact across modes; the knob
+/// only moves where the rank waits:
+///  - kBlocking: wait for every peer right after posting (no overlap).
+///  - kStream: poll the completion set (comm::RequestSet) between the
+///    halo-independent compute chunks and fold each peer's slab the moment
+///    it — and every earlier peer — has landed, so the compute and the
+///    fold of peer k hide the transfers of peers k+1...
+enum class OverlapMode : int { kBlocking = 0, kStream = 1 };
+
 // ---- Pipelined (split-phase) exchange -------------------------------------
 // One in-flight boundary exchange: sends are posted eagerly, receives into a
 // completion set; the caller computes the halo-independent phase and folds
 // the payloads afterwards. The fold always applies peers in ascending index
 // order (deterministic reduction): blocking waits for everything right after
-// posting, bulk waits at fold time, stream polls the set and applies each
-// peer the moment it and every earlier peer have landed — the fold itself
-// sits at the same point of the schedule with the same order in every mode,
-// so all three execute the identical fp instruction stream.
+// posting, stream polls the set and applies each peer the moment it and
+// every earlier peer have landed — the fold itself sits at the same point of
+// the schedule with the same order in both modes, so both execute the
+// identical fp instruction stream.
 //
-// This machinery is shared verbatim by the trainer (core/trainer.cpp) and
-// the forward-only serving engine (core/inference.cpp): the serving path
-// reuses the exact post/fold code, which is what makes served logits
-// bit-identical to the training-forward oracle (docs/ARCHITECTURE.md §10).
+// This machinery — and the per-layer forward driver built on it
+// (HaloExchanger::forward_layer) — is shared verbatim by training,
+// evaluation (core/trainer.cpp) and the forward-only serving engine
+// (core/inference.cpp), which is what makes served logits bit-identical to
+// the training-forward oracle (docs/ARCHITECTURE.md §10).
 
 struct PendingExchange {
   std::vector<comm::Request> sends;  // complete on posting (eager)
@@ -42,42 +56,48 @@ struct PendingExchange {
   std::vector<CacheStep> cache_steps;
   // Measured-timing capture (socket fabrics; also tracked on the mailbox
   // where it is simply unused). The Stopwatch starts when the exchange is
-  // posted; span is frozen at the last receive completion — right after
-  // the wait in blocking mode, inside the fold driver otherwise.
+  // posted; span is frozen at the last receive completion — inside the
+  // fold driver, whichever mode waited for it.
   Stopwatch clock;
   double meas_span_s = 0.0;  // post -> last receive completion
   double wait_s = 0.0;       // portion of the span spent blocked in waits
 };
 
-// ---- Streaming fold engine ------------------------------------------------
-// The heart of OverlapMode::kStream: make progress on the completion set
-// and hand each peer's slab to the layer (or the scatter-add) the moment
-// it AND every lower-indexed peer have landed. Buffer-then-apply-in-order
-// is what keeps the reduction deterministic: out-of-order arrivals sit
-// completed in their Request slot (the wire buffer — see comm::Request)
-// until their turn, so the numeric fold order is identical to a bulk
-// wait_all, while the fold *work* of early peers overlaps the transfers
-// still in flight. poll() is the nonblocking pass the trainer runs
-// between F1 chunks (folds interleave mid-F1); drain() completes the
-// remainder with wait_any progress.
+// ---- Fold engine ----------------------------------------------------------
+// Makes progress on the completion set and hands each peer's slab to the
+// layer (or the scatter-add) once it AND every lower-indexed peer have
+// landed. Buffer-then-apply-in-order is what keeps the reduction
+// deterministic: out-of-order arrivals sit completed in their Request slot
+// (the wire buffer — see comm::Request) until their turn, so the numeric
+// fold order is identical to a wait_all, while in stream mode the fold
+// *work* of early peers overlaps the transfers still in flight. Blocking
+// mode waits for every peer in the constructor (right after posting);
+// poll() is the nonblocking pass the caller runs between compute chunks
+// (a no-op when blocking); drain() completes the remainder with wait_any
+// progress.
 //
 // Accounting follows the schedule, not the in-process mailboxes (whose
-// eager delivery reflects thread-scheduling skew, not wire time — the
-// same convention PR 2 used for the bulk window): under the simulated
-// wire, the fold of peer k runs while the transfers of peers k+1.. are
-// still on the wire, so every fold except the last peer's widens the
-// overlap window. window_s() reports that measured extra window —
-// always 0 for bulk/blocking, whose wait_all precedes the first apply.
+// eager delivery reflects thread-scheduling skew, not wire time): under the
+// simulated wire, the fold of peer k runs while the transfers of peers
+// k+1.. are still on the wire, so every stream fold except the last peer's
+// widens the overlap window. window_s() reports that measured extra window
+// — always 0 when blocking, whose wait precedes the first apply.
 
 class FoldDriver {
  public:
-  FoldDriver(PendingExchange& px, bool stream)
-      : px_(px), stream_(stream),
-        arrived_(px.recvs.size(), stream ? 0 : 1) {}
+  FoldDriver(PendingExchange& px, OverlapMode mode)
+      : px_(px), stream_(mode == OverlapMode::kStream),
+        arrived_(px.recvs.size(), stream_ ? 0 : 1) {
+    if (stream_) return;
+    Stopwatch w;
+    px_.recvs.wait_all();
+    px_.wait_s += w.elapsed_s();
+    freeze_span();
+  }
 
   /// Nonblocking progress pass: mark what landed, apply every ready
-  /// in-order peer through `apply(k, payload)`. No-op outside stream
-  /// mode (bulk/blocking apply only at drain time).
+  /// in-order peer through `apply(k, payload)`. No-op when blocking (every
+  /// peer is applied at drain time).
   template <typename ApplyFn>
   void poll(ApplyFn&& apply, Accumulator& compute_acc) {
     if (!stream_ || next_ >= arrived_.size()) return;
@@ -91,12 +111,6 @@ class FoldDriver {
   /// Block until every peer has been applied.
   template <typename ApplyFn>
   void drain(ApplyFn&& apply, Accumulator& compute_acc) {
-    if (!stream_) {
-      Stopwatch w;
-      px_.recvs.wait_all();
-      px_.wait_s += w.elapsed_s();
-      freeze_span();
-    }
     apply_ready(apply, compute_acc);
     while (next_ < arrived_.size()) {
       ready_.clear();
@@ -109,6 +123,9 @@ class FoldDriver {
     }
     freeze_span();
   }
+
+  /// Whether this schedule can hide wire time at all (stream).
+  [[nodiscard]] bool overlaps() const { return stream_; }
 
   /// Stream window: fold seconds of every peer but the last (the folds
   /// that ran while at least one later transfer was still in flight).
@@ -145,13 +162,37 @@ class FoldDriver {
   double window_s_ = 0.0;
 };
 
+/// Per-exchange accounting summed over an epoch's exchanges, forward and
+/// backward alike. Simulated fields come from the cost model (mailbox
+/// fabric); measured fields from the exchange stopwatches (socket fabrics).
+struct ExchangeTally {
+  double sim_tail_s = 0.0;     // Σ slowest single peer message
+  double sim_overlap_s = 0.0;  // Σ min(transfer, in-flight compute)
+  double meas_span_s = 0.0;    // Σ post -> last receive completion
+  double meas_overlap_s = 0.0; // Σ part of the span not blocked in a wait
+
+  /// Count one drained exchange. `inflight` is the compute the caller ran
+  /// while it was on the wire; the driver adds its own early-fold window.
+  /// A blocking exchange hides nothing under the cost model.
+  void add(const PendingExchange& px, const FoldDriver& fold,
+           const Accumulator& inflight) {
+    sim_tail_s += px.tail_s;
+    if (fold.overlaps())
+      sim_overlap_s +=
+          std::min(px.sim_s, inflight.seconds() + fold.window_s());
+    meas_span_s += px.meas_span_s;
+    meas_overlap_s +=
+        std::clamp(px.meas_span_s - px.wait_s, 0.0, px.meas_span_s);
+  }
+};
+
 /// One rank's boundary-exchange engine: owns the post/fold pair of the
-/// split-phase protocol, the blocking assembled forms built on it, and the
-/// per-(layer, peer) halo-cache state (docs/ARCHITECTURE.md §9). Extracted
-/// from the trainer's RankWorker so the forward half is shared — verbatim,
-/// same fp instruction stream — with the serving engine; the backward half
-/// is training-only but lives here because it is the mirror of the same
-/// payload layout.
+/// split-phase protocol, the per-layer forward driver built on it, and the
+/// per-(layer, peer) halo-cache state (docs/ARCHITECTURE.md §9). Training,
+/// evaluation and serving all run their forward through forward_layer —
+/// one code path, one fp instruction stream; the backward half is
+/// training-only (the trainer drives it) but its post/fold pair lives here
+/// because it mirrors the same payload layout.
 class HaloExchanger {
  public:
   struct Options {
@@ -164,6 +205,11 @@ class HaloExchanger {
     int num_layers = 0;
     std::int64_t feat_dim = 0;  // layer-0 row width
     std::int64_t hidden = 0;    // deeper-layer row width
+    /// Schedule of every exchange (TrainerConfig::overlap).
+    OverlapMode mode = OverlapMode::kBlocking;
+    /// F1 chunk rows of forward_layer (TrainerConfig::inner_chunk_rows);
+    /// 0 = one chunk covering every destination row.
+    NodeId inner_chunk_rows = 0;
   };
 
   HaloExchanger(comm::Endpoint& ep, const Options& opts);
@@ -183,69 +229,36 @@ class HaloExchanger {
            !cache_[static_cast<std::size_t>(layer)].empty();
   }
 
-  /// Post the forward exchange: isend this layer's sampled rows of
-  /// h_inner (misses only on a cached channel), irecv the halo rows each
-  /// owner will push to us. Per-peer byte totals are accumulated while
-  /// posting — with the cache on, the message count is unchanged (every
-  /// peer still gets one frame, possibly empty) but miss-only payloads
-  /// shrink both the simulated exchange time and the straggler tail.
-  /// `layer` is the halo-cache channel (-1 bypasses the cache —
-  /// evaluation must not step the per-epoch directories).
-  PendingExchange post_forward(const Matrix& h_inner, const EpochPlan& plan,
-                               int tag, int layer);
-
   /// Post the backward exchange: send each owner its halo-gradient rows
-  /// (scaled; slot s lives at row halo_row0 + s of `dsrc`), irecv the
-  /// contributions peers computed for our inner rows.
-  PendingExchange post_backward(const Matrix& dsrc, NodeId halo_row0,
-                                const EpochPlan& plan, float scale, int tag);
+  /// (scaled; slot s is row s of `dhalo`), irecv the contributions peers
+  /// computed for our inner rows. The caller drains it through a
+  /// FoldDriver with make_backward_fold.
+  PendingExchange post_backward(const Matrix& dhalo, const EpochPlan& plan,
+                                float scale, int tag);
 
-  /// Complete the forward exchange: place each peer's rows into its
-  /// compact halo slots of `dst` starting at row `halo_row0` (0 for a
-  /// bare halo block, n_inner for an assembled [inner; halo] matrix),
-  /// applying the 1/p scale. The fold buffer is distinct from the wire
-  /// buffers — see comm::Request.
-  void fold_forward(PendingExchange& px, const EpochPlan& plan, float scale,
-                    Matrix& dst, NodeId halo_row0);
-
-  /// Complete the backward exchange: scatter-add remote contributions into
-  /// the inner-gradient block (same per-peer order as every other path).
-  void fold_backward(PendingExchange& px, const EpochPlan& plan,
-                     Matrix& dinner);
-
-  /// Gather + send this layer's rows, receive the (scaled) halo block and
-  /// return the assembled source-feature matrix [inner; halo]. Blocking
-  /// form of the exchange, expressed through the same post/fold pair as
-  /// the pipeline so the payload layout exists exactly once.
-  Matrix exchange_forward(const Matrix& h_inner, NodeId n_inner,
-                          const EpochPlan& plan, float scale, int tag,
-                          int layer);
-
-  /// Send halo-feature gradients back to their owners; returns the inner
-  /// gradient block with remote contributions scatter-added. Blocking form
-  /// of the backward exchange, same post/fold pair as the pipeline.
-  Matrix exchange_backward(const Matrix& dfeats, NodeId n_inner,
-                           const EpochPlan& plan, float scale, int tag);
-
-  /// Forward fold: resolve the slab (cache-aware), scale it, and hand it
-  /// to the layer's incremental protocol. Fold work is billed to the
-  /// compute accumulator by the driver (it is compute the rank performs in
-  /// every mode). Scaling happens on the assembled slab in the same
-  /// element order as the uncached in-place scale, so the fp stream is
-  /// unchanged by the cache.
-  auto make_forward_fold(PendingExchange& px, const EpochPlan& plan,
-                         nn::Layer& layer, float scale, std::int64_t d) {
-    return [this, &px, &plan, &layer, scale, d](std::size_t k,
-                                                comm::Wire msg) {
-      const auto& slots =
-          plan.recv_slots[static_cast<std::size_t>(px.peers[k])];
-      const auto rows = slab_rows(px, plan, k, msg, d);
-      if (scale != 1.0f)
-        for (float& v : rows) v *= scale;
-      layer.forward_halo_fold(plan.adj, slots, rows);
-      ep_.release_floats(std::move(msg.floats));
-    };
-  }
+  /// One layer's forward over its boundary exchange (Algorithm 1 lines
+  /// 8-11), the only forward the partition-parallel engines run: post the
+  /// exchange of `h_in`'s boundary rows, run the layer's halo-independent
+  /// phase F1 in row chunks with a FoldDriver poll between chunks, drain
+  /// the remaining peers in fixed order, and finish. When `build_inc` is
+  /// set, `inc` is (re)built from plan.adj inside the in-flight window —
+  /// pass it on the first layer of a pass; later layers reuse it (every
+  /// layer of a pass aggregates over the same adjacency), and `inc` must
+  /// outlive any phased backward of the pass. Compute, including fold
+  /// work, is billed to `compute_acc`; the exchange lands in `tally`.
+  struct LayerStep {
+    int tag = 0;
+    int cache_layer = -1;   // halo-cache channel; -1 bypasses the cache
+    bool training = false;  // dropout on, backward caches kept
+    bool build_inc = false;
+  };
+  [[nodiscard]] Matrix forward_layer(nn::Layer& layer, const Matrix& h_in,
+                                     const EpochPlan& plan,
+                                     nn::SourceIncidence& inc,
+                                     std::span<const float> inv_deg,
+                                     const LayerStep& step,
+                                     Accumulator& compute_acc,
+                                     ExchangeTally& tally);
 
   /// Backward fold: scatter-add the peer's gradient slab into the inner
   /// block, in fixed peer order (the accumulation order every mode shares
@@ -269,6 +282,37 @@ class HaloExchanger {
   }
 
  private:
+  /// Post the forward exchange: isend this layer's sampled rows of
+  /// h_inner (misses only on a cached channel), irecv the halo rows each
+  /// owner will push to us. Per-peer byte totals are accumulated while
+  /// posting — with the cache on, the message count is unchanged (every
+  /// peer still gets one frame, possibly empty) but miss-only payloads
+  /// shrink both the simulated exchange time and the straggler tail.
+  /// `layer` is the halo-cache channel (-1 bypasses the cache —
+  /// evaluation must not step the per-epoch directories).
+  PendingExchange post_forward(const Matrix& h_inner, const EpochPlan& plan,
+                               int tag, int layer);
+
+  /// Forward fold: resolve the slab (cache-aware), scale it, and hand it
+  /// to the layer's incremental protocol. Fold work is billed to the
+  /// compute accumulator by the driver (it is compute the rank performs in
+  /// every mode). Scaling happens on the assembled slab in the same
+  /// element order as the uncached in-place scale, so the fp stream is
+  /// unchanged by the cache.
+  auto make_forward_fold(PendingExchange& px, const EpochPlan& plan,
+                         nn::Layer& layer, float scale, std::int64_t d) {
+    return [this, &px, &plan, &layer, scale, d](std::size_t k,
+                                                comm::Wire msg) {
+      const auto& slots =
+          plan.recv_slots[static_cast<std::size_t>(px.peers[k])];
+      const auto rows = slab_rows(px, plan, k, msg, d);
+      if (scale != 1.0f)
+        for (float& v : rows) v *= scale;
+      layer.forward_halo_fold(plan.adj, slots, rows);
+      ep_.release_floats(std::move(msg.floats));
+    };
+  }
+
   /// Simulated transfer time of one peer message of `bytes` payload bytes
   /// (one message: latency + bytes/bandwidth).
   [[nodiscard]] double msg_sim_s(std::int64_t bytes) const;

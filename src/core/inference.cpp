@@ -1,7 +1,6 @@
 #include "core/inference.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -54,9 +53,6 @@ class ServeWorker {
     // Inference mode: maskless activations (identical values), backward
     // caches and gradient buffers freed.
     for (auto& l : layers_) l->set_inference(true);
-    use_phased_ = std::all_of(
-        layers_.begin(), layers_.end(),
-        [](const auto& l) { return l->supports_phased(); });
 
     // Serving always exchanges the full boundary set (the unsampled plan —
     // queries are answered over the exact graph).
@@ -67,10 +63,13 @@ class ServeWorker {
 
     // The halo cache is a training-only knob: the table build is the only
     // exchange serving runs, and a single forward has nothing to hit.
-    hx_.emplace(ep_, HaloExchanger::Options{.cost = cfg_.cost,
-                                            .num_layers = cfg_.num_layers,
-                                            .feat_dim = ds.feat_dim(),
-                                            .hidden = cfg_.hidden});
+    hx_.emplace(ep_, HaloExchanger::Options{
+                         .cost = cfg_.cost,
+                         .num_layers = cfg_.num_layers,
+                         .feat_dim = ds.feat_dim(),
+                         .hidden = cfg_.hidden,
+                         .mode = cfg_.overlap,
+                         .inner_chunk_rows = cfg_.inner_chunk_rows});
   }
 
   [[nodiscard]] ServeResult run(const ServeOptions& opts) {
@@ -94,7 +93,7 @@ class ServeWorker {
     comm::RankStats before = ep_.stats();
     Stopwatch load_clock;
     const Matrix table = forward_full_graph();
-    const comm::RankStats load_delta = diff(ep_.stats(), before);
+    const comm::RankStats load_delta = ep_.stats() - before;
     ep_.barrier();
     result.load = sum_over_ranks(load_clock.elapsed_s(), load_delta);
 
@@ -119,7 +118,7 @@ class ServeWorker {
       gather_batch(queries, table, result);
       const double latency_s = latency.elapsed_s();
       const ServeBatchStats stats =
-          sum_over_ranks(latency_s, diff(ep_.stats(), before));
+          sum_over_ranks(latency_s, ep_.stats() - before);
       if (ep_.rank() == 0) result.batches.push_back(stats);
     }
     result.wall_time_s = wall.elapsed_s();
@@ -128,18 +127,6 @@ class ServeWorker {
 
  private:
   int next_tag() { return tag_seq_++; }
-
-  static comm::RankStats diff(const comm::RankStats& now,
-                              const comm::RankStats& before) {
-    comm::RankStats d;
-    for (int c = 0; c < static_cast<int>(TrafficClass::kCount); ++c) {
-      d.tx_bytes[c] = now.tx_bytes[c] - before.tx_bytes[c];
-      d.rx_bytes[c] = now.rx_bytes[c] - before.rx_bytes[c];
-      d.tx_msgs[c] = now.tx_msgs[c] - before.tx_msgs[c];
-      d.rx_msgs[c] = now.rx_msgs[c] - before.rx_msgs[c];
-    }
-    return d;
-  }
 
   /// Fold every rank's traffic `delta` into one stats row on rank 0 (other
   /// ranks get latency and bytes of zero). The allgather runs after the
@@ -169,48 +156,21 @@ class ServeWorker {
     return stats;
   }
 
-  /// One full-graph forward over the inner block — the trainer's phased
-  /// schedule verbatim (post → halo-independent chunks with interleaved
-  /// polls → in-order drain → finish), minus the breakdown plumbing. The
-  /// shared HaloExchanger/FoldDriver path is what makes the table
-  /// bit-identical to a training-path forward of the same weights.
+  /// One full-graph forward over the inner block through the trainer's
+  /// forward driver (HaloExchanger::forward_layer), minus the breakdown
+  /// plumbing. Sharing the driver is what makes the table bit-identical
+  /// to a training-path forward of the same weights.
   [[nodiscard]] Matrix forward_full_graph() {
-    const EpochPlan& plan = full_plan_;
-    const OverlapMode mode = cfg_.overlap;
-    const bool stream = mode == OverlapMode::kStream;
-    const int L = cfg_.num_layers;
-    Accumulator compute_acc; // FoldDriver bookkeeping; unused further
     nn::SourceIncidence inc;
-    if (use_phased_) inc.build(plan.adj, plan.adj.n_dst);
+    Accumulator compute_acc; // driver bookkeeping; unused further
+    ExchangeTally tally;
     Matrix h = x_local_;
-    for (int l = 0; l < L; ++l) {
-      const int tag = next_tag();
-      auto& layer = *layers_[static_cast<std::size_t>(l)];
-      if (use_phased_) {
-        PendingExchange px = hx_->post_forward(h, plan, tag, l);
-        if (mode == OverlapMode::kBlocking) px.recvs.wait_all();
-        layer.forward_inner_begin(plan.adj, h, /*training=*/false);
-        layer.forward_halo_begin(plan.adj, inc);
-        FoldDriver fold(px, stream);
-        auto apply =
-            hx_->make_forward_fold(px, plan, layer, /*scale=*/1.0f, h.cols());
-        const NodeId n_dst = plan.adj.n_dst;
-        const NodeId step =
-            cfg_.inner_chunk_rows > 0 ? cfg_.inner_chunk_rows : n_dst;
-        for (NodeId r0 = 0; r0 < n_dst; r0 += step) {
-          const NodeId r1 = std::min<NodeId>(r0 + step, n_dst);
-          layer.forward_inner_chunk(plan.adj, r0, r1);
-          fold.poll(apply, compute_acc);
-        }
-        fold.drain(apply, compute_acc);
-        h = layer.forward_halo_finish(plan.adj, lg_.inv_full_degree);
-      } else {
-        Matrix feats = hx_->exchange_forward(h, lg_.n_inner(), plan,
-                                             /*scale=*/1.0f, tag, l);
-        h = layer.forward(plan.adj, feats, lg_.inv_full_degree,
-                          /*training=*/false);
-      }
-    }
+    for (int l = 0; l < cfg_.num_layers; ++l)
+      h = hx_->forward_layer(*layers_[static_cast<std::size_t>(l)], h,
+                             full_plan_, inc, lg_.inv_full_degree,
+                             {.tag = next_tag(), .cache_layer = -1,
+                              .training = false, .build_inc = l == 0},
+                             compute_acc, tally);
     return h;
   }
 
@@ -318,7 +278,6 @@ class ServeWorker {
   std::optional<BoundarySampler> sampler_;
   EpochPlan full_plan_;
   std::optional<HaloExchanger> hx_;
-  bool use_phased_ = false;
   bool record_logits_ = false;
   int tag_seq_ = 0;
 };
@@ -351,43 +310,10 @@ ServeResult InferenceEngine::serve(const ServeOptions& opts) {
   comm::Fabric fabric(m, cfg_.cost);
   ServeResult result;
 
-  // lint: allow(raw-thread) — rank runtime, one OS thread per simulated
-  // rank, mirroring BnsTrainer::train(); kernel-level parallelism inside
-  // each rank still goes through the pool.
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(m));
-  threads.reserve(static_cast<std::size_t>(m));
-  for (PartId r = 0; r < m; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        ServeResult local = serve_rank(fabric, r, opts);
-        if (r == 0) result = std::move(local);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // Tear the fabric down so peers blocked on this rank unwind with
-        // ShutdownError instead of hanging mid-request-stream.
-        fabric.shutdown(r);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  // Rethrow the root cause: a ShutdownError is collateral of some other
-  // rank's failure, so prefer any non-shutdown exception.
-  std::exception_ptr first, root;
-  for (const auto& e : errors) {
-    if (!e) continue;
-    if (!first) first = e;
-    if (!root) {
-      try {
-        std::rethrow_exception(e);
-      } catch (const comm::ShutdownError&) {
-      } catch (...) {
-        root = e;
-      }
-    }
-  }
-  if (root) std::rethrow_exception(root);
-  if (first) std::rethrow_exception(first);
+  comm::run_rank_threads(fabric, [&](PartId r) {
+    ServeResult local = serve_rank(fabric, r, opts);
+    if (r == 0) result = std::move(local);
+  });
   return result;
 }
 

@@ -63,7 +63,7 @@ struct ServeResult {
 /// Forward-only serving over the partitioned graph (docs/ARCHITECTURE.md
 /// §10): load a WeightSnapshot captured by training, put every layer in
 /// inference mode (backward buffers freed), run the exact split-phase
-/// forward the trainer runs — same HaloExchanger, same FoldDriver, same
+/// forward the trainer runs — the same HaloExchanger::forward_layer, same
 /// fold order — once over the full plan, and answer every query batch from
 /// that owner-resident logits table. Served logits are therefore
 /// bit-identical to a training-path forward of the same weights, across

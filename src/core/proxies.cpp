@@ -1,6 +1,7 @@
 #include "core/proxies.hpp"
 
-#include <thread>
+#include <stdexcept>
+#include <string>
 
 #include "common/stopwatch.hpp"
 #include "nn/adam.hpp"
@@ -52,254 +53,236 @@ TrainResult run_cagnet_proxy(const Dataset& ds, const Partitioning& part,
   std::vector<double> comm_s(static_cast<std::size_t>(m));
   std::vector<double> reduce_s(static_cast<std::size_t>(m));
   std::vector<std::int64_t> bcast_rx(static_cast<std::size_t>(m));
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(m));
   // TrainerConfig::overlap is a no-op here by design: every broadcast row
   // feeds every destination's aggregation, so the 1.5D exchange has no
   // halo-free compute to hide it behind (the knob stays safe, not useful).
 
   Stopwatch wall;
-  // lint: allow(raw-thread) — rank runtime, one OS thread per simulated rank;
-  // kernel-level parallelism inside each rank still goes through the pool.
-  std::vector<std::thread> threads;
-  for (PartId r = 0; r < m; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        auto& ep = fabric.endpoint(r);
-        BcastRank st;
-        st.inner = members[static_cast<std::size_t>(r)];
-        const NodeId n_in = static_cast<NodeId>(st.inner.size());
+  comm::run_rank_threads(fabric, [&](PartId r) {
+    auto& ep = fabric.endpoint(r);
+    BcastRank st;
+    st.inner = members[static_cast<std::size_t>(r)];
+    const NodeId n_in = static_cast<NodeId>(st.inner.size());
 
-        // Global-source adjacency rows for this rank's inner nodes.
-        st.adj.n_dst = n_in;
-        st.adj.n_src = ds.num_nodes();
-        st.adj.offsets.assign(static_cast<std::size_t>(n_in) + 1, 0);
-        st.inv_deg.resize(static_cast<std::size_t>(n_in));
-        for (NodeId i = 0; i < n_in; ++i) {
-          const NodeId v = st.inner[static_cast<std::size_t>(i)];
-          st.adj.offsets[static_cast<std::size_t>(i) + 1] =
-              st.adj.offsets[static_cast<std::size_t>(i)] +
-              ds.graph.degree(v);
-          st.inv_deg[static_cast<std::size_t>(i)] =
-              ds.graph.degree(v) > 0
-                  ? 1.0f / static_cast<float>(ds.graph.degree(v))
-                  : 0.0f;
-        }
-        st.adj.nbrs.reserve(static_cast<std::size_t>(st.adj.offsets.back()));
-        for (const NodeId v : st.inner)
-          for (const NodeId u : ds.graph.neighbors(v))
-            st.adj.nbrs.push_back(u);
+    // Global-source adjacency rows for this rank's inner nodes.
+    st.adj.n_dst = n_in;
+    st.adj.n_src = ds.num_nodes();
+    st.adj.offsets.assign(static_cast<std::size_t>(n_in) + 1, 0);
+    st.inv_deg.resize(static_cast<std::size_t>(n_in));
+    for (NodeId i = 0; i < n_in; ++i) {
+      const NodeId v = st.inner[static_cast<std::size_t>(i)];
+      st.adj.offsets[static_cast<std::size_t>(i) + 1] =
+          st.adj.offsets[static_cast<std::size_t>(i)] +
+          ds.graph.degree(v);
+      st.inv_deg[static_cast<std::size_t>(i)] =
+          ds.graph.degree(v) > 0
+              ? 1.0f / static_cast<float>(ds.graph.degree(v))
+              : 0.0f;
+    }
+    st.adj.nbrs.reserve(static_cast<std::size_t>(st.adj.offsets.back()));
+    for (const NodeId v : st.inner)
+      for (const NodeId u : ds.graph.neighbors(v))
+        st.adj.nbrs.push_back(u);
 
-        st.x_local = slice_rows(ds.features, st.inner);
-        std::vector<NodeId> train_rows;
-        for (NodeId i = 0; i < n_in; ++i)
-          if (is_train[static_cast<std::size_t>(
-                  st.inner[static_cast<std::size_t>(i)])])
-            train_rows.push_back(i);
-        std::vector<int> labels_local;
-        Matrix targets_local;
-        if (ds.multilabel) {
-          targets_local = slice_rows(ds.multilabels, st.inner);
-        } else {
-          labels_local.resize(static_cast<std::size_t>(n_in));
-          for (NodeId i = 0; i < n_in; ++i)
-            labels_local[static_cast<std::size_t>(i)] =
-                ds.labels[static_cast<std::size_t>(
-                    st.inner[static_cast<std::size_t>(i)])];
-        }
+    st.x_local = slice_rows(ds.features, st.inner);
+    std::vector<NodeId> train_rows;
+    for (NodeId i = 0; i < n_in; ++i)
+      if (is_train[static_cast<std::size_t>(
+              st.inner[static_cast<std::size_t>(i)])])
+        train_rows.push_back(i);
+    std::vector<int> labels_local;
+    Matrix targets_local;
+    if (ds.multilabel) {
+      targets_local = slice_rows(ds.multilabels, st.inner);
+    } else {
+      labels_local.resize(static_cast<std::size_t>(n_in));
+      for (NodeId i = 0; i < n_in; ++i)
+        labels_local[static_cast<std::size_t>(i)] =
+            ds.labels[static_cast<std::size_t>(
+                st.inner[static_cast<std::size_t>(i)])];
+    }
 
-        // Identical model replicas (same seed).
-        Rng rng(cfg.seed);
-        std::vector<std::unique_ptr<nn::Layer>> layers;
-        for (int l = 0; l < cfg.num_layers; ++l) {
-          const std::int64_t d_in = (l == 0) ? ds.feat_dim() : cfg.hidden;
-          const std::int64_t d_out =
-              (l == cfg.num_layers - 1) ? ds.num_classes : cfg.hidden;
-          layers.push_back(std::make_unique<nn::SageLayer>(
-              d_in, d_out,
-              nn::SageLayer::Options{.relu = l != cfg.num_layers - 1,
-                                     .dropout = 0.0f},
-              rng));
-        }
-        std::vector<Matrix*> params, grads;
-        for (auto& l : layers) {
-          for (Matrix* p : l->params()) params.push_back(p);
-          for (Matrix* g : l->grads()) grads.push_back(g);
-        }
-        nn::Adam adam(std::move(params), std::move(grads), {.lr = cfg.lr});
+    // Identical model replicas (same seed).
+    Rng rng(cfg.seed);
+    std::vector<std::unique_ptr<nn::Layer>> layers;
+    for (int l = 0; l < cfg.num_layers; ++l) {
+      const std::int64_t d_in = (l == 0) ? ds.feat_dim() : cfg.hidden;
+      const std::int64_t d_out =
+          (l == cfg.num_layers - 1) ? ds.num_classes : cfg.hidden;
+      layers.push_back(std::make_unique<nn::SageLayer>(
+          d_in, d_out,
+          nn::SageLayer::Options{.relu = l != cfg.num_layers - 1,
+                                 .dropout = 0.0f},
+          rng));
+    }
+    std::vector<Matrix*> params, grads;
+    for (auto& l : layers) {
+      for (Matrix* p : l->params()) params.push_back(p);
+      for (Matrix* g : l->grads()) grads.push_back(g);
+    }
+    nn::Adam adam(std::move(params), std::move(grads), {.lr = cfg.lr});
 
-        const float inv_total =
-            ds.multilabel
-                ? 1.0f / (static_cast<float>(ds.train_nodes.size()) *
-                          static_cast<float>(ds.num_classes))
-                : 1.0f / static_cast<float>(ds.train_nodes.size());
-        int tag = 0;
+    const float inv_total =
+        ds.multilabel
+            ? 1.0f / (static_cast<float>(ds.train_nodes.size()) *
+                      static_cast<float>(ds.num_classes))
+            : 1.0f / static_cast<float>(ds.train_nodes.size());
+    int tag = 0;
 
-        /// Broadcast own rows of `local` and assemble the full matrix.
-        const auto broadcast_assemble = [&](const Matrix& local) {
-          const std::int64_t d = local.cols();
-          Matrix full(ds.num_nodes(), d);
-          for (PartId j = 0; j < m; ++j) {
-            if (j == ep.rank()) continue;
-            std::vector<float> payload(local.data(),
-                                       local.data() + local.size());
-            ep.send_floats(j, tag, std::move(payload),
-                           TrafficClass::kBroadcast);
-          }
-          // own rows
-          for (NodeId i = 0; i < n_in; ++i) {
-            const float* s = local.data() + static_cast<std::int64_t>(i) * d;
-            std::copy(s, s + d,
-                      full.data() +
-                          static_cast<std::int64_t>(
-                              st.inner[static_cast<std::size_t>(i)]) * d);
-          }
-          for (PartId j = 0; j < m; ++j) {
-            if (j == ep.rank()) continue;
-            const auto payload =
-                ep.recv_floats(j, tag, TrafficClass::kBroadcast);
-            const auto& rows = members[static_cast<std::size_t>(j)];
-            BNSGCN_CHECK(payload.size() ==
-                         rows.size() * static_cast<std::size_t>(d));
-            for (std::size_t t = 0; t < rows.size(); ++t) {
-              std::copy(payload.data() + t * static_cast<std::size_t>(d),
-                        payload.data() + (t + 1) * static_cast<std::size_t>(d),
-                        full.data() +
-                            static_cast<std::int64_t>(rows[t]) * d);
-            }
-          }
-          ++tag;
-          return full;
-        };
-
-        /// Reduce-scatter of a full-size gradient matrix: send each peer
-        /// the rows it owns; accumulate received contributions into ours.
-        const auto reduce_scatter = [&](const Matrix& dfull) {
-          const std::int64_t d = dfull.cols();
-          for (PartId j = 0; j < m; ++j) {
-            if (j == ep.rank()) continue;
-            const auto& rows = members[static_cast<std::size_t>(j)];
-            std::vector<float> payload(rows.size() *
-                                       static_cast<std::size_t>(d));
-            for (std::size_t t = 0; t < rows.size(); ++t) {
-              const float* s =
-                  dfull.data() + static_cast<std::int64_t>(rows[t]) * d;
-              std::copy(s, s + d,
-                        payload.data() + t * static_cast<std::size_t>(d));
-            }
-            ep.send_floats(j, tag, std::move(payload),
-                           TrafficClass::kBroadcast);
-          }
-          Matrix dlocal(n_in, d);
-          for (NodeId i = 0; i < n_in; ++i) {
-            const float* s =
-                dfull.data() +
-                static_cast<std::int64_t>(
-                    st.inner[static_cast<std::size_t>(i)]) * d;
-            std::copy(s, s + d,
-                      dlocal.data() + static_cast<std::int64_t>(i) * d);
-          }
-          for (PartId j = 0; j < m; ++j) {
-            if (j == ep.rank()) continue;
-            const auto payload =
-                ep.recv_floats(j, tag, TrafficClass::kBroadcast);
-            BNSGCN_CHECK(payload.size() ==
-                         st.inner.size() * static_cast<std::size_t>(d));
-            for (std::size_t t = 0; t < st.inner.size(); ++t) {
-              float* dst =
-                  dlocal.data() + static_cast<std::int64_t>(t) * d;
-              const float* src =
-                  payload.data() + t * static_cast<std::size_t>(d);
-              for (std::int64_t k = 0; k < d; ++k) dst[k] += src[k];
-            }
-          }
-          ++tag;
-          return dlocal;
-        };
-
-        Accumulator comp_acc;
-        const comm::RankStats start_stats = ep.stats();
-        for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-          // Forward: broadcast h, aggregate against the full matrix.
-          std::vector<Matrix> h(static_cast<std::size_t>(cfg.num_layers) + 1);
-          h[0] = st.x_local;
-          for (int l = 0; l < cfg.num_layers; ++l) {
-            Matrix full = broadcast_assemble(h[static_cast<std::size_t>(l)]);
-            ScopedTimer t(comp_acc);
-            h[static_cast<std::size_t>(l) + 1] =
-                layers[static_cast<std::size_t>(l)]->forward(
-                    st.adj, full, st.inv_deg, /*training=*/false);
-          }
-          Matrix dlogits;
-          double local_loss = 0.0;
-          {
-            ScopedTimer t(comp_acc);
-            const Matrix& logits = h[static_cast<std::size_t>(cfg.num_layers)];
-            if (ds.multilabel) {
-              local_loss = nn::sigmoid_bce(logits, targets_local, train_rows,
-                                           inv_total, dlogits);
-            } else {
-              local_loss = nn::softmax_xent(logits, labels_local, train_rows,
-                                            inv_total, dlogits);
-            }
-          }
-          for (auto& l : layers) l->zero_grads();
-          Matrix grad = std::move(dlogits);
-          for (int l = cfg.num_layers - 1; l >= 1; --l) {
-            Matrix dfull;
-            {
-              ScopedTimer t(comp_acc);
-              dfull = layers[static_cast<std::size_t>(l)]->backward(
-                  st.adj, grad, st.inv_deg);
-            }
-            grad = reduce_scatter(dfull);
-          }
-          {
-            ScopedTimer t(comp_acc);
-            layers[0]->backward_params_only(st.adj, grad, st.inv_deg);
-          }
-          auto flat = nn::flatten_grads(layers);
-          ep.allreduce_sum(flat, TrafficClass::kGradient);
-          nn::apply_flat_grads(flat, layers);
-          {
-            ScopedTimer t(comp_acc);
-            adam.step();
-          }
-          // Global mean loss (same convention as BnsTrainer: computed from
-          // this epoch's forward, before the update). Only rank 0 appends,
-          // after the join-free collective has synchronized every rank.
-          const double loss_total = ep.allreduce_sum_scalar(local_loss);
-          if (r == 0) result.train_loss.push_back(loss_total);
-        }
-        const comm::RankStats delta = [&] {
-          comm::RankStats dd;
-          const auto now = ep.stats();
-          for (int cls = 0; cls < static_cast<int>(TrafficClass::kCount);
-               ++cls) {
-            dd.tx_bytes[cls] = now.tx_bytes[cls] - start_stats.tx_bytes[cls];
-            dd.rx_bytes[cls] = now.rx_bytes[cls] - start_stats.rx_bytes[cls];
-            dd.tx_msgs[cls] = now.tx_msgs[cls] - start_stats.tx_msgs[cls];
-            dd.rx_msgs[cls] = now.rx_msgs[cls] - start_stats.rx_msgs[cls];
-          }
-          return dd;
-        }();
-        const auto ri = static_cast<std::size_t>(r);
-        compute_s[ri] = comp_acc.seconds() / cfg.epochs;
-        // The c-plane broadcast divides serialized transfer time by c.
-        comm_s[ri] = delta.sim_seconds(TrafficClass::kBroadcast, cfg.cost) /
-                     (static_cast<double>(c) * cfg.epochs);
-        reduce_s[ri] =
-            delta.sim_seconds(TrafficClass::kGradient, cfg.cost) / cfg.epochs;
-        bcast_rx[ri] =
-            delta.rx_bytes[static_cast<int>(TrafficClass::kBroadcast)] /
-            cfg.epochs;
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
+    /// Broadcast own rows of `local` and assemble the full matrix.
+    const auto broadcast_assemble = [&](const Matrix& local) {
+      const std::int64_t d = local.cols();
+      Matrix full(ds.num_nodes(), d);
+      for (PartId j = 0; j < m; ++j) {
+        if (j == ep.rank()) continue;
+        std::vector<float> payload(local.data(),
+                                   local.data() + local.size());
+        ep.send_floats(j, tag, std::move(payload),
+                       TrafficClass::kBroadcast);
       }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);
+      // own rows
+      for (NodeId i = 0; i < n_in; ++i) {
+        const float* s = local.data() + static_cast<std::int64_t>(i) * d;
+        std::copy(s, s + d,
+                  full.data() +
+                      static_cast<std::int64_t>(
+                          st.inner[static_cast<std::size_t>(i)]) * d);
+      }
+      for (PartId j = 0; j < m; ++j) {
+        if (j == ep.rank()) continue;
+        const auto payload =
+            ep.recv_floats(j, tag, TrafficClass::kBroadcast);
+        const auto& rows = members[static_cast<std::size_t>(j)];
+        BNSGCN_CHECK(payload.size() ==
+                     rows.size() * static_cast<std::size_t>(d));
+        for (std::size_t t = 0; t < rows.size(); ++t) {
+          std::copy(payload.data() + t * static_cast<std::size_t>(d),
+                    payload.data() + (t + 1) * static_cast<std::size_t>(d),
+                    full.data() +
+                        static_cast<std::int64_t>(rows[t]) * d);
+        }
+      }
+      ++tag;
+      return full;
+    };
+
+    /// Reduce-scatter of a full-size gradient matrix: send each peer
+    /// the rows it owns; accumulate received contributions into ours.
+    const auto reduce_scatter = [&](const Matrix& dfull) {
+      const std::int64_t d = dfull.cols();
+      for (PartId j = 0; j < m; ++j) {
+        if (j == ep.rank()) continue;
+        const auto& rows = members[static_cast<std::size_t>(j)];
+        std::vector<float> payload(rows.size() *
+                                   static_cast<std::size_t>(d));
+        for (std::size_t t = 0; t < rows.size(); ++t) {
+          const float* s =
+              dfull.data() + static_cast<std::int64_t>(rows[t]) * d;
+          std::copy(s, s + d,
+                    payload.data() + t * static_cast<std::size_t>(d));
+        }
+        ep.send_floats(j, tag, std::move(payload),
+                       TrafficClass::kBroadcast);
+      }
+      Matrix dlocal(n_in, d);
+      for (NodeId i = 0; i < n_in; ++i) {
+        const float* s =
+            dfull.data() +
+            static_cast<std::int64_t>(
+                st.inner[static_cast<std::size_t>(i)]) * d;
+        std::copy(s, s + d,
+                  dlocal.data() + static_cast<std::int64_t>(i) * d);
+      }
+      for (PartId j = 0; j < m; ++j) {
+        if (j == ep.rank()) continue;
+        const auto payload =
+            ep.recv_floats(j, tag, TrafficClass::kBroadcast);
+        BNSGCN_CHECK(payload.size() ==
+                     st.inner.size() * static_cast<std::size_t>(d));
+        for (std::size_t t = 0; t < st.inner.size(); ++t) {
+          float* dst =
+              dlocal.data() + static_cast<std::int64_t>(t) * d;
+          const float* src =
+              payload.data() + t * static_cast<std::size_t>(d);
+          for (std::int64_t k = 0; k < d; ++k) dst[k] += src[k];
+        }
+      }
+      ++tag;
+      return dlocal;
+    };
+
+    Accumulator comp_acc;
+    const comm::RankStats start_stats = ep.stats();
+    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
+      // Test-only fault injection (TrainerConfig::fail_rank): die
+      // before the first broadcast; peers blocked receiving it must
+      // unwind through the fabric shutdown.
+      if (epoch == 0 && cfg.fail_rank == r)
+        throw std::runtime_error("injected failure: rank " +
+                                 std::to_string(r));
+      // Forward: broadcast h, aggregate against the full matrix.
+      std::vector<Matrix> h(static_cast<std::size_t>(cfg.num_layers) + 1);
+      h[0] = st.x_local;
+      for (int l = 0; l < cfg.num_layers; ++l) {
+        Matrix full = broadcast_assemble(h[static_cast<std::size_t>(l)]);
+        ScopedTimer t(comp_acc);
+        h[static_cast<std::size_t>(l) + 1] =
+            layers[static_cast<std::size_t>(l)]->forward(
+                st.adj, full, st.inv_deg, /*training=*/false);
+      }
+      Matrix dlogits;
+      double local_loss = 0.0;
+      {
+        ScopedTimer t(comp_acc);
+        const Matrix& logits = h[static_cast<std::size_t>(cfg.num_layers)];
+        if (ds.multilabel) {
+          local_loss = nn::sigmoid_bce(logits, targets_local, train_rows,
+                                       inv_total, dlogits);
+        } else {
+          local_loss = nn::softmax_xent(logits, labels_local, train_rows,
+                                        inv_total, dlogits);
+        }
+      }
+      for (auto& l : layers) l->zero_grads();
+      Matrix grad = std::move(dlogits);
+      for (int l = cfg.num_layers - 1; l >= 1; --l) {
+        Matrix dfull;
+        {
+          ScopedTimer t(comp_acc);
+          dfull = layers[static_cast<std::size_t>(l)]->backward(
+              st.adj, grad, st.inv_deg);
+        }
+        grad = reduce_scatter(dfull);
+      }
+      {
+        ScopedTimer t(comp_acc);
+        layers[0]->backward_params_only(st.adj, grad, st.inv_deg);
+      }
+      auto flat = nn::flatten_grads(layers);
+      ep.allreduce_sum(flat, TrafficClass::kGradient);
+      nn::apply_flat_grads(flat, layers);
+      {
+        ScopedTimer t(comp_acc);
+        adam.step();
+      }
+      // Global mean loss (same convention as BnsTrainer: computed from
+      // this epoch's forward, before the update). Only rank 0 appends,
+      // after the join-free collective has synchronized every rank.
+      const double loss_total = ep.allreduce_sum_scalar(local_loss);
+      if (r == 0) result.train_loss.push_back(loss_total);
+    }
+    const comm::RankStats delta = ep.stats() - start_stats;
+    const auto ri = static_cast<std::size_t>(r);
+    compute_s[ri] = comp_acc.seconds() / cfg.epochs;
+    // The c-plane broadcast divides serialized transfer time by c.
+    comm_s[ri] = delta.sim_seconds(TrafficClass::kBroadcast, cfg.cost) /
+                 (static_cast<double>(c) * cfg.epochs);
+    reduce_s[ri] =
+        delta.sim_seconds(TrafficClass::kGradient, cfg.cost) / cfg.epochs;
+    bcast_rx[ri] =
+        delta.rx_bytes[static_cast<int>(TrafficClass::kBroadcast)] /
+        cfg.epochs;
+  });
 
   EpochBreakdown eb;
   for (PartId r = 0; r < m; ++r) {

@@ -1,11 +1,8 @@
 #include "core/trainer.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <limits>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
@@ -73,19 +70,6 @@ std::vector<std::unique_ptr<nn::Layer>> build_model(const TrainerConfig& cfg,
 
 namespace {
 
-/// Delta of two traffic snapshots.
-comm::RankStats diff_stats(const comm::RankStats& now,
-                           const comm::RankStats& before) {
-  comm::RankStats d;
-  for (int c = 0; c < static_cast<int>(TrafficClass::kCount); ++c) {
-    d.tx_bytes[c] = now.tx_bytes[c] - before.tx_bytes[c];
-    d.rx_bytes[c] = now.rx_bytes[c] - before.rx_bytes[c];
-    d.tx_msgs[c] = now.tx_msgs[c] - before.tx_msgs[c];
-    d.rx_msgs[c] = now.rx_msgs[c] - before.rx_msgs[c];
-  }
-  return d;
-}
-
 /// Per-rank training state and logic. One instance per rank — a thread on
 /// the mailbox fabric, a whole OS process on a socket fabric. Cross-rank
 /// reductions all go through the endpoint's collectives (no shared
@@ -119,14 +103,6 @@ class RankWorker {
     test_rows_ = local_rows_of(lg_, ds.test_nodes);
 
     layers_ = build_model(cfg_, ds.feat_dim(), ds.num_classes, ep_.rank());
-    // The split-phase schedule is the only training path when every layer
-    // supports it — SAGE and GAT both do (GAT's attention waits for the
-    // finish call, but its per-head linear transforms phase-split); a
-    // custom layer without split support falls back to the assembled
-    // exchange.
-    use_phased_ = std::all_of(
-        layers_.begin(), layers_.end(),
-        [](const auto& l) { return l->supports_phased(); });
     std::vector<Matrix*> params, grads;
     for (auto& l : layers_) {
       for (Matrix* p : l->params()) params.push_back(p);
@@ -147,16 +123,18 @@ class RankWorker {
     sampler_.emplace(lg_, so);
     full_plan_ = sampler_->full_plan();
 
-    // The boundary-exchange engine (post/fold pair, fold driver, halo
+    // The boundary-exchange engine (post/fold pair, forward driver, halo
     // cache) is shared verbatim with the serving path — see
     // core/halo_exchange.hpp.
-    hx_.emplace(ep_, HaloExchanger::Options{.cost = cfg_.cost,
-                                            .cache_mb = cfg_.cache_mb,
-                                            .cache_staleness =
-                                                cfg_.cache_staleness,
-                                            .num_layers = cfg_.num_layers,
-                                            .feat_dim = ds.feat_dim(),
-                                            .hidden = cfg_.hidden});
+    hx_.emplace(ep_, HaloExchanger::Options{
+                         .cost = cfg_.cost,
+                         .cache_mb = cfg_.cache_mb,
+                         .cache_staleness = cfg_.cache_staleness,
+                         .num_layers = cfg_.num_layers,
+                         .feat_dim = ds.feat_dim(),
+                         .hidden = cfg_.hidden,
+                         .mode = cfg_.overlap,
+                         .inner_chunk_rows = cfg_.inner_chunk_rows});
 
     const float n_train_global = static_cast<float>(ds.train_nodes.size());
     inv_total_ = ds.multilabel
@@ -184,8 +162,9 @@ class RankWorker {
         evaluated = true;
         const auto [val, test] = evaluate();
         // Exclude evaluation traffic from the next epoch's breakdown. All
-        // of this rank's eval receives completed inside evaluate() (its
-        // exchanges are blocking), so a bare re-snapshot suffices.
+        // of this rank's eval receives completed inside evaluate() (every
+        // exchange drains before its layer finishes), so a bare
+        // re-snapshot suffices.
         snap_ = ep_.stats();
         if (ep_.rank() == 0) {
           result_.curve.push_back(
@@ -277,91 +256,27 @@ class RankWorker {
                                std::to_string(ep_.rank()));
 
     // ---- Forward (Algorithm 1 lines 8-11) -----------------------------
-    // Phased path (SAGE and GAT): post the exchange, run the
-    // halo-independent phase in row chunks while rows are in flight —
-    // polling the completion set between chunks, so in stream mode peer
-    // folds interleave mid-F1 — then drain the remaining peers through
-    // the fold driver. Blocking waits right after posting, bulk waits at
-    // drain time, stream polls. Identical instruction stream in all
-    // three; only the waits (and therefore the overlap window) move.
-    const OverlapMode mode = cfg_.overlap;
-    const bool stream = mode == OverlapMode::kStream;
-    const int L = cfg_.num_layers;
-    double overlap_acc = 0.0;
-    double tail_acc = 0.0;
-    // Measured counterparts (socket fabrics): per-exchange wall-clock span
-    // and the blocked share of it, folded into the breakdown instead of
-    // the cost-model projections when ep_.timing() is kMeasured.
-    double meas_comm = 0.0, meas_overlap = 0.0, meas_tail = 0.0;
-    // Every layer of the epoch aggregates over the same compacted
+    // Each layer runs the shared forward driver (HaloExchanger::
+    // forward_layer): post the exchange, run the halo-independent phase in
+    // row chunks while rows are in flight, fold peers in fixed order,
+    // finish. Every layer of the epoch aggregates over the same compacted
     // adjacency, so its source incidence is built once — inside layer 0's
-    // in-flight window — and handed to each layer's phase F2a: the forward
-    // folds read its halo rows, the phased backward pulls over all rows.
+    // in-flight window — and shared: the forward folds read its halo rows,
+    // the phased backward pulls over all rows.
+    const int L = cfg_.num_layers;
+    ExchangeTally tally;
     nn::SourceIncidence inc;
     std::vector<Matrix> h(static_cast<std::size_t>(L) + 1);
     h[0] = x_local_;
     for (int l = 0; l < L; ++l) {
-      const int tag = next_tag();
-      auto& layer = *layers_[static_cast<std::size_t>(l)];
-      if (use_phased_) {
-        Matrix& h_in = h[static_cast<std::size_t>(l)];
-        PendingExchange px = hx_->post_forward(h_in, plan, tag, l);
-        tail_acc += px.tail_s;
-        if (mode == OverlapMode::kBlocking) {
-          Stopwatch w;
-          px.recvs.wait_all();
-          px.wait_s += w.elapsed_s();
-          px.meas_span_s = px.clock.elapsed_s();
-        }
-        if (cfg_.simulate_host_swap) host_swap(h_in);
-        // The in-flight window is accumulated phase by phase (not wall
-        // time across the loop) so interleaved fold work is not counted
-        // twice — the driver tracks the fold share separately.
-        Accumulator window_acc;
-        {
-          ScopedTimer t(compute_acc);
-          ScopedTimer w(window_acc);
-          layer.forward_inner_begin(plan.adj, h_in, /*training=*/true);
-          if (l == 0) inc.build(plan.adj, plan.adj.n_dst);
-          layer.forward_halo_begin(plan.adj, inc);
-        }
-        FoldDriver fold(px, stream);
-        auto apply = hx_->make_forward_fold(px, plan, layer, plan.halo_scale,
-                                            h_in.cols());
-        const NodeId n_dst = plan.adj.n_dst;
-        const NodeId step =
-            cfg_.inner_chunk_rows > 0 ? cfg_.inner_chunk_rows : n_dst;
-        for (NodeId r0 = 0; r0 < n_dst; r0 += step) {
-          const NodeId r1 = std::min<NodeId>(r0 + step, n_dst);
-          {
-            ScopedTimer t(compute_acc);
-            ScopedTimer w(window_acc);
-            layer.forward_inner_chunk(plan.adj, r0, r1);
-          }
-          fold.poll(apply, compute_acc);
-        }
-        fold.drain(apply, compute_acc);
-        if (mode != OverlapMode::kBlocking)
-          overlap_acc +=
-              std::min(px.sim_s, window_acc.seconds() + fold.window_s());
-        meas_comm += px.meas_span_s;
-        meas_tail += px.meas_span_s;
-        meas_overlap +=
-            std::clamp(px.meas_span_s - px.wait_s, 0.0, px.meas_span_s);
-        {
-          ScopedTimer t(compute_acc);
-          h[static_cast<std::size_t>(l) + 1] =
-              layer.forward_halo_finish(plan.adj, lg_.inv_full_degree);
-        }
-      } else {
-        Matrix feats =
-            hx_->exchange_forward(h[static_cast<std::size_t>(l)],
-                                  lg_.n_inner(), plan, plan.halo_scale, tag, l);
-        if (cfg_.simulate_host_swap) host_swap(h[static_cast<std::size_t>(l)]);
-        ScopedTimer t(compute_acc);
-        h[static_cast<std::size_t>(l) + 1] = layer.forward(
-            plan.adj, feats, lg_.inv_full_degree, /*training=*/true);
-      }
+      const Matrix& h_in = h[static_cast<std::size_t>(l)];
+      if (cfg_.simulate_host_swap) host_swap(h_in);
+      h[static_cast<std::size_t>(l) + 1] = hx_->forward_layer(
+          *layers_[static_cast<std::size_t>(l)], h_in, plan, inc,
+          lg_.inv_full_degree,
+          {.tag = next_tag(), .cache_layer = l, .training = true,
+           .build_inc = l == 0},
+          compute_acc, tally);
       if (cfg_.simulate_host_swap)
         host_swap(h[static_cast<std::size_t>(l) + 1]);
     }
@@ -381,14 +296,18 @@ class RankWorker {
     }
 
     // ---- Backward (line 13) ---------------------------------------------
+    // The halo-gradient rows leave for their owners first; the
+    // inner-gradient block is computed while they (and the peers'
+    // contributions to our rows) are on the wire, then each peer's
+    // contribution is scatter-added as it lands (fixed peer order).
     // Cross-layer pipeline: layer l's parameter-gradient phase (B3 —
     // nothing reads dW/db before the epoch-end allreduce) is deferred out
     // of its own exchange window and executed while layer l−1's exchange
     // is in flight, so backward work of one layer hides the wire time of
     // the next. The deferral happens in every mode (the values cannot
-    // change — each layer's accumulators are disjoint), so all three
-    // schedules keep executing the identical fp instruction stream; only
-    // stream/bulk credit the extra in-flight window.
+    // change — each layer's accumulators are disjoint), so both schedules
+    // keep executing the identical fp instruction stream; only stream
+    // credits the extra in-flight window.
     for (auto& l : layers_) l->zero_grads();
     Matrix grad = std::move(dlogits);
     int deferred_params = -1; // layer with its B3 phase still pending
@@ -407,62 +326,33 @@ class RankWorker {
         }
         break;
       }
-      const int tag = next_tag();
-      if (use_phased_) {
-        // The halo-gradient rows leave for their owners first; the
-        // inner-gradient block — and the layer above's deferred
-        // parameter gradients — are computed while they (and the peers'
-        // contributions to our rows) are on the wire, then each peer's
-        // contribution is scatter-added as it lands (fixed peer order).
-        Matrix dhalo;
-        {
-          ScopedTimer t(compute_acc);
-          dhalo = layer.backward_halo(plan.adj, grad, lg_.inv_full_degree);
-        }
-        PendingExchange px = hx_->post_backward(dhalo, /*halo_row0=*/0, plan,
-                                                plan.halo_scale, tag);
-        tail_acc += px.tail_s;
-        if (mode == OverlapMode::kBlocking) {
-          Stopwatch w;
-          px.recvs.wait_all();
-          px.wait_s += w.elapsed_s();
-          px.meas_span_s = px.clock.elapsed_s();
-        }
-        Accumulator window_acc;
-        Matrix dinner;
-        {
-          ScopedTimer t(compute_acc);
-          ScopedTimer w(window_acc);
-          dinner = layer.backward_inner(plan.adj, lg_.inv_full_degree);
-        }
-        FoldDriver fold(px, stream);
-        auto apply = hx_->make_backward_fold(px, plan, dinner);
-        fold.poll(apply, compute_acc);
-        if (deferred_params >= 0) {
-          ScopedTimer t(compute_acc);
-          ScopedTimer w(window_acc);
-          layers_[static_cast<std::size_t>(deferred_params)]->backward_params(
-              plan.adj);
-        }
-        deferred_params = l;
-        fold.drain(apply, compute_acc);
-        if (mode != OverlapMode::kBlocking)
-          overlap_acc +=
-              std::min(px.sim_s, window_acc.seconds() + fold.window_s());
-        meas_comm += px.meas_span_s;
-        meas_tail += px.meas_span_s;
-        meas_overlap +=
-            std::clamp(px.meas_span_s - px.wait_s, 0.0, px.meas_span_s);
-        grad = std::move(dinner);
-      } else {
-        Matrix dfeats;
-        {
-          ScopedTimer t(compute_acc);
-          dfeats = layer.backward(plan.adj, grad, lg_.inv_full_degree);
-        }
-        grad = hx_->exchange_backward(dfeats, lg_.n_inner(), plan,
-                                      plan.halo_scale, tag);
+      Matrix dhalo;
+      {
+        ScopedTimer t(compute_acc);
+        dhalo = layer.backward_halo(plan.adj, grad, lg_.inv_full_degree);
       }
+      PendingExchange px =
+          hx_->post_backward(dhalo, plan, plan.halo_scale, next_tag());
+      FoldDriver fold(px, cfg_.overlap); // blocking waits for every peer here
+      Accumulator window_acc;
+      Matrix dinner;
+      {
+        ScopedTimer t(compute_acc);
+        ScopedTimer w(window_acc);
+        dinner = layer.backward_inner(plan.adj, lg_.inv_full_degree);
+      }
+      auto apply = hx_->make_backward_fold(px, plan, dinner);
+      fold.poll(apply, compute_acc);
+      if (deferred_params >= 0) {
+        ScopedTimer t(compute_acc);
+        ScopedTimer w(window_acc);
+        layers_[static_cast<std::size_t>(deferred_params)]->backward_params(
+            plan.adj);
+      }
+      deferred_params = l;
+      fold.drain(apply, compute_acc);
+      tally.add(px, fold, window_acc);
+      grad = std::move(dinner);
     }
 
     // ---- Gradient allreduce + update (lines 14-15) ----------------------
@@ -482,22 +372,25 @@ class RankWorker {
     // ---- Per-epoch accounting -------------------------------------------
     const comm::RankStats after = ep_.stats();
     snap_ = after;
-    const comm::RankStats delta = diff_stats(after, before);
-    const comm::RankStats delta_reduce = diff_stats(after, before_reduce);
+    const comm::RankStats delta = after - before;
+    const comm::RankStats delta_reduce = after - before_reduce;
     double comm_s, overlap_s, tail_s, reduce_s;
     if (measured_) {
-      comm_s = meas_comm;
+      // Measured counterparts (socket fabrics): per-exchange wall-clock
+      // spans and the unblocked share of them, instead of the cost-model
+      // projections. The tail of a measured exchange is its whole span.
+      comm_s = tally.meas_span_s;
       // Clamped so the documented overlap_s <= comm_s invariant holds.
-      overlap_s = std::min(meas_overlap, comm_s);
-      tail_s = meas_tail;
+      overlap_s = std::min(tally.meas_overlap_s, comm_s);
+      tail_s = tally.meas_span_s;
       reduce_s = reduce_meas_s;
     } else {
       comm_s = delta.sim_seconds(TrafficClass::kFeature, cfg_.cost);
       // Per-exchange hidden time, clamped so the documented overlap_s <=
       // comm_s invariant holds even when the per-exchange max(tx, rx)
       // sums above the epoch-level max.
-      overlap_s = std::min(overlap_acc, comm_s);
-      tail_s = tail_acc;
+      overlap_s = std::min(tally.sim_overlap_s, comm_s);
+      tail_s = tally.sim_tail_s;
       reduce_s = delta_reduce.sim_seconds(TrafficClass::kGradient, cfg_.cost);
     }
     // The breakdown reduction rides an (unaccounted) allgather instead of
@@ -560,40 +453,53 @@ class RankWorker {
     return loss_total;
   }
 
-  /// Full-exchange, no-dropout forward; distributed metric reduction.
+  /// Full-exchange, no-dropout forward through the same driver as
+  /// training — over the unsampled plan, bypassing the halo cache, with an
+  /// incidence of its own — then one collective for the metric counts.
   std::pair<double, double> evaluate() {
-    const int L = cfg_.num_layers;
+    nn::SourceIncidence inc;
+    Accumulator compute_acc; // evaluation is not part of the breakdown
+    ExchangeTally tally;
     Matrix h = x_local_;
-    for (int l = 0; l < L; ++l) {
-      const int tag = next_tag();
-      Matrix feats = hx_->exchange_forward(h, lg_.n_inner(), full_plan_, 1.0f,
-                                           tag, /*layer=*/-1);
-      h = layers_[static_cast<std::size_t>(l)]->forward(
-          full_plan_.adj, feats, lg_.inv_full_degree, /*training=*/false);
-    }
+    for (int l = 0; l < cfg_.num_layers; ++l)
+      h = hx_->forward_layer(*layers_[static_cast<std::size_t>(l)], h,
+                             full_plan_, inc, lg_.inv_full_degree,
+                             {.tag = next_tag(), .cache_layer = -1,
+                              .training = false, .build_inc = l == 0},
+                             compute_acc, tally);
+    // Every count is a whole number far below 2^53, so summing the
+    // gathered slots is exact in any order: the metrics match an
+    // allreduce of each count bit for bit.
+    std::vector<double> counts;
     if (ds_.multilabel) {
-      const auto v = nn::f1_counts(h, targets_local_, val_rows_);
-      const auto t = nn::f1_counts(h, targets_local_, test_rows_);
-      const double vtp = ep_.allreduce_sum_scalar(static_cast<double>(v.tp));
-      const double vfp = ep_.allreduce_sum_scalar(static_cast<double>(v.fp));
-      const double vfn = ep_.allreduce_sum_scalar(static_cast<double>(v.fn));
-      const double ttp = ep_.allreduce_sum_scalar(static_cast<double>(t.tp));
-      const double tfp = ep_.allreduce_sum_scalar(static_cast<double>(t.fp));
-      const double tfn = ep_.allreduce_sum_scalar(static_cast<double>(t.fn));
+      for (const auto* rows : {&val_rows_, &test_rows_}) {
+        const auto c = nn::f1_counts(h, targets_local_, *rows);
+        counts.insert(counts.end(), {static_cast<double>(c.tp),
+                                     static_cast<double>(c.fp),
+                                     static_cast<double>(c.fn)});
+      }
+    } else {
+      for (const auto* rows : {&val_rows_, &test_rows_}) {
+        const auto [correct, total] =
+            nn::accuracy_counts(h, labels_local_, *rows);
+        counts.insert(counts.end(), {static_cast<double>(correct),
+                                     static_cast<double>(total)});
+      }
+    }
+    std::vector<double> sum(counts.size(), 0.0);
+    for (const auto& slot : ep_.allgather_doubles(counts))
+      for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += slot[i];
+    if (ds_.multilabel) {
       const auto f1 = [](double tp, double fp, double fn) {
         const double denom = 2 * tp + fp + fn;
         return denom == 0.0 ? 0.0 : 2.0 * tp / denom;
       };
-      return {f1(vtp, vfp, vfn), f1(ttp, tfp, tfn)};
+      return {f1(sum[0], sum[1], sum[2]), f1(sum[3], sum[4], sum[5])};
     }
-    const auto [vc, vt] = nn::accuracy_counts(h, labels_local_, val_rows_);
-    const auto [tc, tt] = nn::accuracy_counts(h, labels_local_, test_rows_);
-    const double val_correct = ep_.allreduce_sum_scalar(static_cast<double>(vc));
-    const double val_total = ep_.allreduce_sum_scalar(static_cast<double>(vt));
-    const double test_correct = ep_.allreduce_sum_scalar(static_cast<double>(tc));
-    const double test_total = ep_.allreduce_sum_scalar(static_cast<double>(tt));
-    return {val_total > 0 ? val_correct / val_total : 0.0,
-            test_total > 0 ? test_correct / test_total : 0.0};
+    const auto ratio = [](double correct, double total) {
+      return total > 0 ? correct / total : 0.0;
+    };
+    return {ratio(sum[0], sum[1]), ratio(sum[2], sum[3])};
   }
 
   const Dataset& ds_;
@@ -613,7 +519,6 @@ class RankWorker {
   EpochPlan full_plan_;
   std::optional<HaloExchanger> hx_; // shared boundary-exchange engine
   Matrix swap_staging_;
-  bool use_phased_ = false;
   float inv_total_ = 1.0f;
   int tag_seq_ = 0;
   double kept_halo_accum_ = 0.0;
@@ -729,45 +634,12 @@ TrainResult BnsTrainer::train() {
   TrainResult result;
 
   Stopwatch wall;
-  // lint: allow(raw-thread) — rank runtime, one OS thread per simulated rank;
-  // kernel-level parallelism inside each rank still goes through the pool.
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(m));
-  threads.reserve(static_cast<std::size_t>(m));
-  for (PartId r = 0; r < m; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        RankWorker worker(ds_, cfg_,
-                          local_graphs_[static_cast<std::size_t>(r)],
-                          fabric.endpoint(r), result);
-        worker.run();
-        finalize_rank(fabric.endpoint(r), worker.mean_kept_halo(), result);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // Tear the fabric down so peers blocked on this rank unwind with
-        // ShutdownError instead of hanging (deadlock-free failure).
-        fabric.shutdown(r);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  // Rethrow the root cause: a ShutdownError is collateral of some other
-  // rank's failure, so prefer any non-shutdown exception.
-  std::exception_ptr first, root;
-  for (const auto& e : errors) {
-    if (!e) continue;
-    if (!first) first = e;
-    if (!root) {
-      try {
-        std::rethrow_exception(e);
-      } catch (const comm::ShutdownError&) {
-      } catch (...) {
-        root = e;
-      }
-    }
-  }
-  if (root) std::rethrow_exception(root);
-  if (first) std::rethrow_exception(first);
+  comm::run_rank_threads(fabric, [&](PartId r) {
+    RankWorker worker(ds_, cfg_, local_graphs_[static_cast<std::size_t>(r)],
+                      fabric.endpoint(r), result);
+    worker.run();
+    finalize_rank(fabric.endpoint(r), worker.mean_kept_halo(), result);
+  });
   result.wall_time_s = wall.elapsed_s();
   return result;
 }

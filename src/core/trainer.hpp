@@ -7,6 +7,7 @@
 
 #include "comm/fabric.hpp"
 #include "core/boundary_sampler.hpp"
+#include "core/halo_exchange.hpp"
 #include "core/local_graph.hpp"
 #include "core/memory_model.hpp"
 #include "graph/dataset.hpp"
@@ -14,20 +15,6 @@
 namespace bnsgcn::core {
 
 enum class ModelKind { kSage, kGat };
-
-/// How the boundary exchanges are scheduled against compute
-/// (docs/ARCHITECTURE.md §4). All three modes execute the identical fp
-/// schedule — per-peer folds applied in fixed peer order — so results are
-/// bit-exact across modes; the knob only moves where the trainer waits:
-///  - kBlocking: wait for every peer right after posting (no overlap).
-///  - kBulk: one wait_all after the halo-independent compute phase; the
-///    exchange hides behind that single phase (the PR 2 pipeline).
-///  - kStream: poll the completion set (comm::RequestSet) and fold each
-///    peer's slab the moment it — and every earlier peer — has landed, so
-///    the fold of peer k also hides the transfer of peers k+1..; this is
-///    what shaves the slow-peer tail at large partition counts.
-/// Ordered by how much wire time each can hide.
-enum class OverlapMode : int { kBlocking = 0, kBulk = 1, kStream = 2 };
 
 /// Per-epoch timing/traffic breakdown (Fig. 5 / Table 6 quantities).
 /// Times are bulk-synchronous: max over ranks per phase. `compute_s` is
@@ -45,20 +32,19 @@ struct EpochBreakdown {
   /// per exchange, min(simulated transfer time, measured in-flight
   /// compute), summed over the epoch's forward+backward exchanges and
   /// taken as the min over ranks (a conservative lower bound on what the
-  /// pipeline hides). In bulk mode the in-flight compute is the
-  /// halo-independent phase alone; in stream mode it additionally counts
-  /// the per-peer folds performed while later peers were still on the
-  /// wire, so stream's window is a superset of bulk's. Every backward
-  /// exchange's window further includes the cross-layer-deferred
-  /// parameter-gradient phase of the layer above (Layer::backward_params),
-  /// which the trainer executes while that exchange is in flight. Always
-  /// 0 in blocking mode, and never exceeds comm_s.
+  /// pipeline hides). The in-flight compute is the halo-independent phase
+  /// plus the per-peer folds performed while later peers were still on
+  /// the wire. Every backward exchange's window further includes the
+  /// cross-layer-deferred parameter-gradient phase of the layer above
+  /// (Layer::backward_params), which the trainer executes while that
+  /// exchange is in flight. Always 0 in blocking mode, and never exceeds
+  /// comm_s.
   double overlap_s = 0.0;
   /// Per-peer straggler metric: each exchange's slowest single peer
   /// message (simulated transfer time), summed over the epoch's exchanges,
   /// max over ranks. Deterministic (a pure function of the sampled
   /// exchange sets), unlike overlap_s. This is the long tail the stream
-  /// schedule exists to hide: a bulk wait_all cannot release any fold
+  /// schedule exists to hide: a blocking wait cannot release any fold
   /// until the comm_tail_s straggler lands.
   double comm_tail_s = 0.0;
   std::int64_t feature_bytes = 0; // global rx over all ranks
@@ -152,12 +138,11 @@ struct TrainerConfig {
   /// Compute-normalized PCIe model by default (see CostModel::scaled_pcie3).
   comm::CostModel cost = comm::CostModel::scaled_pcie3();
 
-  /// Boundary-exchange schedule (docs/ARCHITECTURE.md §4): blocking, bulk
-  /// (one wait_all hidden behind the halo-independent phase) or stream
-  /// (per-peer progressive folds driven by comm::RequestSet). Training
-  /// results are bit-identical across all three — every mode executes the
-  /// same split fp schedule with folds applied in fixed peer order; the
-  /// knob only moves the waits — so the effect is purely
+  /// Boundary-exchange schedule (docs/ARCHITECTURE.md §4): blocking or
+  /// stream (per-peer progressive folds driven by comm::RequestSet).
+  /// Training results are bit-identical across both — every mode executes
+  /// the same split fp schedule with folds applied in fixed peer order;
+  /// the knob only moves the waits — so the effect is purely
   /// EpochBreakdown::overlap_s lowering the simulated epoch time. SAGE
   /// and GAT both run the phased schedule (GAT's per-head linear
   /// transforms are its halo-independent phase); the CAGNET proxy ignores
@@ -173,8 +158,8 @@ struct TrainerConfig {
   /// fold starts hiding the transfers still in flight. Training results
   /// are bit-identical for every value (F1 is row-independent and the
   /// fold targets are disjoint from the chunk targets — see nn::Layer);
-  /// the knob only moves the poll points. Ignored outside the phased
-  /// path. RunConfig.comm.inner_chunk_rows is the config-file spelling.
+  /// the knob only moves the poll points.
+  /// RunConfig.comm.inner_chunk_rows is the config-file spelling.
   NodeId inner_chunk_rows = 0;
 
   /// Kernel worker threads per rank (common::ThreadPool lanes inside each
@@ -227,9 +212,10 @@ struct TrainerConfig {
   bool simulate_host_swap = false;
 
   /// Test-only: the named rank throws just before epoch 0's first forward
-  /// exchange, exercising the fabric's deadlock-free shutdown path (peers
-  /// must surface comm::ShutdownError instead of hanging in a blocking
-  /// wait on the dead rank's sends). -1 disables. Not serialized.
+  /// exchange (the first broadcast under the CAGNET proxy), exercising the
+  /// fabric's deadlock-free shutdown path (peers must surface
+  /// comm::ShutdownError instead of hanging in a blocking wait on the dead
+  /// rank's sends). -1 disables. Not serialized.
   int fail_rank = -1;
 
   /// Optional per-epoch callback (see EpochSnapshot).

@@ -46,7 +46,6 @@ class GatLayer final : public Layer {
   // the gradient exchange is in flight; B3 (backward_params, deferred by
   // the trainer into the next layer's exchange window) runs the fused dW
   // GEMM over the cached assembled feats.
-  [[nodiscard]] bool supports_phased() const override { return true; }
   void forward_inner_begin(const BipartiteCsr& adj, const Matrix& inner_feats,
                            bool training) override;
   void forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,

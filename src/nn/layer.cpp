@@ -238,40 +238,6 @@ void mean_aggregate_finish(std::span<const float> inv_deg, Matrix& out) {
   });
 }
 
-void Layer::forward_inner_begin(const BipartiteCsr&, const Matrix&, bool) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
-}
-
-void Layer::forward_inner_chunk(const BipartiteCsr&, NodeId, NodeId) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
-}
-
-void Layer::forward_halo_begin(const BipartiteCsr&, const SourceIncidence&) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
-}
-
-void Layer::forward_halo_fold(const BipartiteCsr&, std::span<const NodeId>,
-                              std::span<const float>) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
-}
-
-Matrix Layer::forward_halo_finish(const BipartiteCsr&,
-                                  std::span<const float>) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased forward");
-  return {};
-}
-
-Matrix Layer::backward_halo(const BipartiteCsr&, const Matrix&,
-                            std::span<const float>) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased backward");
-  return {};
-}
-
-Matrix Layer::backward_inner(const BipartiteCsr&, std::span<const float>) {
-  BNSGCN_CHECK_MSG(false, "layer does not support phased backward");
-  return {};
-}
-
 void Layer::backward_params_only(const BipartiteCsr& adj, const Matrix& dout,
                                  std::span<const float> inv_deg) {
   (void)backward(adj, dout, inv_deg);

@@ -119,7 +119,7 @@ struct SourceIncidence {
 /// caller). Folding peers in a fixed order makes the per-destination
 /// summation order deterministic: inner terms first
 /// (mean_aggregate_inner_rows, adjacency order), then halo terms in
-/// (peer, slot, incidence) order — identical across blocking, bulk and
+/// (peer, slot, incidence) order — identical across the blocking and
 /// stream schedules.
 void mean_aggregate_halo_fold(const SourceIncidence& inc,
                               std::span<const NodeId> slots,
@@ -246,10 +246,13 @@ class Layer {
                                     std::span<const float> inv_deg);
 
   // --- Split-phase protocol (communication–computation overlap) ----------
-  // A layer returning true from supports_phased() implements the phase
-  // methods below. The forward is split into F1 (halo-independent compute,
-  // driven in destination-row chunks) plus an *incremental* halo fold: the
-  // trainer calls forward_inner_begin and forward_halo_begin once, then
+  // The partition-parallel engines run every layer through these phases
+  // (core::HaloExchanger::forward_layer and the trainer's backward loop);
+  // the fused forward/backward above serve the single-process baselines
+  // and the CAGNET proxy.
+  // The forward is split into F1 (halo-independent compute, driven in
+  // destination-row chunks) plus an *incremental* halo fold: the driver
+  // calls forward_inner_begin and forward_halo_begin once, then
   // alternates forward_inner_chunk with forward_halo_fold — folds in
   // fixed peer order, in every schedule — and forward_halo_finish when
   // every chunk ran and every peer folded. A fold may land before, between
@@ -261,7 +264,7 @@ class Layer {
   // are row-independent and the peer order is pinned, bit-identical for
   // every chunk size and every schedule. Streaming mode feeds slabs the
   // moment they land (buffering out-of-order arrivals until their turn),
-  // bulk/blocking feed them after a wait_all. backward_halo +
+  // blocking mode feeds them after a wait for every peer. backward_halo +
   // backward_inner + backward_params split backward: the halo-feature
   // gradients come out first (they must hit the wire), the inner-gradient
   // block second (it can be computed while the remote contributions
@@ -271,23 +274,21 @@ class Layer {
   // the backward fold (scatter-add of peer contributions) lives in the
   // trainer and follows the same fixed-peer-order rule.
 
-  [[nodiscard]] virtual bool supports_phased() const { return false; }
-
   /// Phase F1 setup: cache the locally-owned source block ((n_dst, d_in) —
   /// inner sources of the trainer layout) and size the partial state. No
   /// per-row work happens here; the chunks do it. `inner_feats` must stay
   /// valid until the last forward_inner_chunk returns (implementations
   /// may keep a reference instead of copying).
   virtual void forward_inner_begin(const BipartiteCsr& adj,
-                                   const Matrix& inner_feats, bool training);
+                                   const Matrix& inner_feats,
+                                   bool training) = 0;
 
   /// Phase F1 chunk: run the halo-independent compute for destination rows
   /// [row0, row1). The trainer covers [0, n_dst) with disjoint ascending
   /// ranges; between chunks it may poll the completion set and fold peers.
   /// Row-independent by contract, so the chunking never changes results.
   virtual void forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
-                                   NodeId row1);
-
+                                   NodeId row1) = 0;
 
   /// Phase F2a: receive the epoch's fold state. `inc` is the source
   /// incidence of `adj` (halo slots at and past inc.n_lo), built by the
@@ -297,30 +298,30 @@ class Layer {
   /// them. Called once per layer forward, after forward_inner and before
   /// the first fold; part of the in-flight compute window.
   virtual void forward_halo_begin(const BipartiteCsr& adj,
-                                  const SourceIncidence& inc);
+                                  const SourceIncidence& inc) = 0;
 
   /// Phase F2b: fold one peer's halo slab — rows.size() == slots.size() *
   /// d_in, row t is halo slot slots[t], already 1/p-scaled by the caller.
   /// Must be called in ascending peer order (deterministic reduction).
   virtual void forward_halo_fold(const BipartiteCsr& adj,
                                  std::span<const NodeId> slots,
-                                 std::span<const float> rows);
+                                 std::span<const float> rows) = 0;
 
   /// Phase F2c: every peer folded — finish the layer ((n_dst, d_out)).
   [[nodiscard]] virtual Matrix forward_halo_finish(
-      const BipartiteCsr& adj, std::span<const float> inv_deg);
+      const BipartiteCsr& adj, std::span<const float> inv_deg) = 0;
 
   /// Phase B1: parameter gradients plus the halo-source input gradients
   /// ((n_src - n_dst, d_in)) — everything the backward exchange sends.
-  [[nodiscard]] virtual Matrix backward_halo(const BipartiteCsr& adj,
-                                             const Matrix& dout,
-                                             std::span<const float> inv_deg);
+  [[nodiscard]] virtual Matrix backward_halo(
+      const BipartiteCsr& adj, const Matrix& dout,
+      std::span<const float> inv_deg) = 0;
 
   /// Phase B2: the inner-source input gradients ((n_dst, d_in)), computed
   /// from state cached by backward_halo. Must not touch the parameter
   /// gradients — those belong to backward_params.
-  [[nodiscard]] virtual Matrix backward_inner(const BipartiteCsr& adj,
-                                              std::span<const float> inv_deg);
+  [[nodiscard]] virtual Matrix backward_inner(
+      const BipartiteCsr& adj, std::span<const float> inv_deg) = 0;
 
   /// Phase B3: accumulate the parameter gradients (dW, db, …) from state
   /// cached by backward_halo/backward_inner. Called exactly once per

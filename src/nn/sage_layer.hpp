@@ -36,7 +36,6 @@ class SageLayer final : public Layer {
   // interleave mid-F1), and the backward scatter into disjoint inner/halo
   // target halves, so SAGE supports full streaming overlap. Parameter
   // gradients live in backward_params (the cross-layer-deferred B3 phase).
-  [[nodiscard]] bool supports_phased() const override { return true; }
   void forward_inner_begin(const BipartiteCsr& adj, const Matrix& inner_feats,
                            bool training) override;
   void forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,

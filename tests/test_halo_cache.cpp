@@ -181,7 +181,6 @@ TEST(HaloCacheTrainer, Staleness0IsBitIdenticalAcrossModesAndModels) {
        {core::ModelKind::kSage, core::ModelKind::kGat}) {
     for (const auto& [mode, chunk] :
          {std::pair{core::OverlapMode::kBlocking, NodeId{0}},
-          std::pair{core::OverlapMode::kBulk, NodeId{0}},
           std::pair{core::OverlapMode::kStream, NodeId{0}},
           std::pair{core::OverlapMode::kStream, NodeId{48}}}) {
       const std::string what =

@@ -1,5 +1,5 @@
-// Communication–computation overlap: blocking, bulk and stream training
-// must be bit-identical (the knob moves only the wait points of the
+// Communication–computation overlap: blocking and stream training must be
+// bit-identical (the knob moves only the wait points of the
 // identical split-phase fp schedule, with per-peer folds applied in fixed
 // peer order — docs/ARCHITECTURE.md §4), the hidden time must be real and
 // bounded by the exchange time, and the knob must be safe for every
@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "api/run.hpp"
+#include "api/serialize.hpp"
 #include "baselines/minibatch.hpp"
 #include "core/trainer.hpp"
 #include "graph/dataset.hpp"
@@ -26,7 +27,6 @@ using core::SamplingVariant;
 using core::TrainerConfig;
 
 constexpr OverlapMode kAllModes[] = {OverlapMode::kBlocking,
-                                     OverlapMode::kBulk,
                                      OverlapMode::kStream};
 
 Dataset easy_dataset(std::uint64_t seed = 101, bool multilabel = false) {
@@ -57,41 +57,38 @@ TrainerConfig base_config() {
   return cfg;
 }
 
-/// Train under every overlap mode and require bit-identical results
-/// (losses, eval curve, byte counts) against the blocking run.
+/// Train under both overlap modes and require bit-identical results
+/// (losses, eval curve, byte counts) of stream against the blocking run.
 void expect_modes_bit_identical(const Dataset& ds, const Partitioning& part,
                                 TrainerConfig cfg) {
   cfg.overlap = OverlapMode::kBlocking;
   const auto blocking = BnsTrainer(ds, part, cfg).train();
   for (const auto& e : blocking.epochs) EXPECT_EQ(e.overlap_s, 0.0);
 
-  for (const OverlapMode mode : {OverlapMode::kBulk, OverlapMode::kStream}) {
-    cfg.overlap = mode;
-    const auto piped = BnsTrainer(ds, part, cfg).train();
-    const auto tag = [mode](std::size_t i) {
-      return std::string(mode == OverlapMode::kBulk ? "bulk" : "stream") +
-             " epoch " + std::to_string(i);
-    };
-    ASSERT_EQ(blocking.train_loss.size(), piped.train_loss.size());
-    for (std::size_t e = 0; e < blocking.train_loss.size(); ++e)
-      EXPECT_EQ(blocking.train_loss[e], piped.train_loss[e]) << tag(e);
-    EXPECT_EQ(blocking.final_val, piped.final_val);
-    EXPECT_EQ(blocking.final_test, piped.final_test);
-    ASSERT_EQ(blocking.curve.size(), piped.curve.size());
-    for (std::size_t i = 0; i < blocking.curve.size(); ++i) {
-      EXPECT_EQ(blocking.curve[i].val, piped.curve[i].val);
-      EXPECT_EQ(blocking.curve[i].test, piped.curve[i].test);
-    }
-    ASSERT_EQ(blocking.epochs.size(), piped.epochs.size());
-    for (std::size_t i = 0; i < blocking.epochs.size(); ++i) {
-      EXPECT_EQ(blocking.epochs[i].feature_bytes,
-                piped.epochs[i].feature_bytes) << tag(i);
-      EXPECT_EQ(blocking.epochs[i].comm_s, piped.epochs[i].comm_s) << tag(i);
-      // The per-peer tail is a pure function of the sampled exchange sets:
-      // identical across modes, by construction.
-      EXPECT_EQ(blocking.epochs[i].comm_tail_s, piped.epochs[i].comm_tail_s)
-          << tag(i);
-    }
+  cfg.overlap = OverlapMode::kStream;
+  const auto piped = BnsTrainer(ds, part, cfg).train();
+  const auto tag = [](std::size_t i) {
+    return "stream epoch " + std::to_string(i);
+  };
+  ASSERT_EQ(blocking.train_loss.size(), piped.train_loss.size());
+  for (std::size_t e = 0; e < blocking.train_loss.size(); ++e)
+    EXPECT_EQ(blocking.train_loss[e], piped.train_loss[e]) << tag(e);
+  EXPECT_EQ(blocking.final_val, piped.final_val);
+  EXPECT_EQ(blocking.final_test, piped.final_test);
+  ASSERT_EQ(blocking.curve.size(), piped.curve.size());
+  for (std::size_t i = 0; i < blocking.curve.size(); ++i) {
+    EXPECT_EQ(blocking.curve[i].val, piped.curve[i].val);
+    EXPECT_EQ(blocking.curve[i].test, piped.curve[i].test);
+  }
+  ASSERT_EQ(blocking.epochs.size(), piped.epochs.size());
+  for (std::size_t i = 0; i < blocking.epochs.size(); ++i) {
+    EXPECT_EQ(blocking.epochs[i].feature_bytes,
+              piped.epochs[i].feature_bytes) << tag(i);
+    EXPECT_EQ(blocking.epochs[i].comm_s, piped.epochs[i].comm_s) << tag(i);
+    // The per-peer tail is a pure function of the sampled exchange sets:
+    // identical across modes, by construction.
+    EXPECT_EQ(blocking.epochs[i].comm_tail_s, piped.epochs[i].comm_tail_s)
+        << tag(i);
   }
 }
 
@@ -182,45 +179,41 @@ TEST(Overlap, ChunkedF1BitIdenticalAcrossChunkSizes) {
 TEST(Overlap, HiddenTimeIsRealAndBounded) {
   const Dataset ds = easy_dataset(113);
   const auto part = metis_like(ds.graph, 4);
-  for (const OverlapMode mode : {OverlapMode::kBulk, OverlapMode::kStream}) {
-    auto cfg = base_config();
-    cfg.overlap = mode;
-    const auto result = BnsTrainer(ds, part, cfg).train();
-    double total_hidden = 0.0;
-    for (const auto& e : result.epochs) {
-      EXPECT_GE(e.overlap_s, 0.0);
-      EXPECT_LE(e.overlap_s, e.comm_s + 1e-12); // never hides more than comm
-      EXPECT_GE(e.total_s(), 0.0);
-      // The tail is one message of one exchange; comm_s covers them all.
-      EXPECT_GT(e.comm_tail_s, 0.0);
-      EXPECT_LE(e.comm_tail_s, e.comm_s + 1e-12);
-      total_hidden += e.overlap_s;
-    }
-    // With boundary traffic on every layer, some exchange time must be
-    // hidden — this is the bench_overlap acceptance in miniature.
-    EXPECT_GT(total_hidden, 0.0);
-    const auto mean = result.mean_epoch();
-    EXPECT_LT(mean.total_s(), mean.compute_s + mean.comm_s + mean.reduce_s +
-                                  mean.sample_s + mean.swap_s);
+  auto cfg = base_config();
+  cfg.overlap = OverlapMode::kStream;
+  const auto result = BnsTrainer(ds, part, cfg).train();
+  double total_hidden = 0.0;
+  for (const auto& e : result.epochs) {
+    EXPECT_GE(e.overlap_s, 0.0);
+    EXPECT_LE(e.overlap_s, e.comm_s + 1e-12); // never hides more than comm
+    EXPECT_GE(e.total_s(), 0.0);
+    // The tail is one message of one exchange; comm_s covers them all.
+    EXPECT_GT(e.comm_tail_s, 0.0);
+    EXPECT_LE(e.comm_tail_s, e.comm_s + 1e-12);
+    total_hidden += e.overlap_s;
   }
+  // With boundary traffic on every layer, some exchange time must be
+  // hidden — this is the bench_overlap acceptance in miniature.
+  EXPECT_GT(total_hidden, 0.0);
+  const auto mean = result.mean_epoch();
+  EXPECT_LT(mean.total_s(), mean.compute_s + mean.comm_s + mean.reduce_s +
+                                mean.sample_s + mean.swap_s);
 }
 
 TEST(Overlap, GatHidesExchangeTimeNow) {
-  // The PR 2 fallback is gone: a GAT stack under bulk or stream overlap
-  // must report genuinely hidden exchange time.
+  // GAT runs the phased schedule like SAGE: a GAT stack under stream
+  // overlap must report genuinely hidden exchange time.
   const Dataset ds = easy_dataset(163);
   const auto part = metis_like(ds.graph, 4);
   auto cfg = base_config();
   cfg.model = ModelKind::kGat;
   cfg.gat_heads = 2;
   cfg.epochs = 4;
-  for (const OverlapMode mode : {OverlapMode::kBulk, OverlapMode::kStream}) {
-    cfg.overlap = mode;
-    const auto result = BnsTrainer(ds, part, cfg).train();
-    double total_hidden = 0.0;
-    for (const auto& e : result.epochs) total_hidden += e.overlap_s;
-    EXPECT_GT(total_hidden, 0.0);
-  }
+  cfg.overlap = OverlapMode::kStream;
+  const auto result = BnsTrainer(ds, part, cfg).train();
+  double total_hidden = 0.0;
+  for (const auto& e : result.epochs) total_hidden += e.overlap_s;
+  EXPECT_GT(total_hidden, 0.0);
 }
 
 TEST(Overlap, ApiCommKnobReachesTheTrainer) {
@@ -235,21 +228,47 @@ TEST(Overlap, ApiCommKnobReachesTheTrainer) {
   const auto blocking = api::run(ds, cfg);
   EXPECT_EQ(blocking.overlap_saved_s(), 0.0);
 
-  for (const OverlapMode mode : {OverlapMode::kBulk, OverlapMode::kStream}) {
-    cfg.comm.overlap = mode;
-    const auto piped = api::run(ds, cfg);
-    EXPECT_EQ(blocking.train_loss, piped.train_loss);
-    EXPECT_GT(piped.overlap_saved_s(), 0.0);
-    EXPECT_GT(piped.overlap_fraction(), 0.0);
-    EXPECT_LE(piped.overlap_fraction(), 1.0);
-    // The simulated epoch clock is exactly the blocking clock minus the
-    // hidden time.
-    const auto mean = piped.mean_epoch();
-    EXPECT_NEAR(piped.epoch_time_s(),
-                mean.compute_s + mean.comm_s + mean.reduce_s + mean.sample_s +
-                    mean.swap_s - mean.overlap_s,
-                1e-12);
+  cfg.comm.overlap = OverlapMode::kStream;
+  const auto piped = api::run(ds, cfg);
+  EXPECT_EQ(blocking.train_loss, piped.train_loss);
+  EXPECT_GT(piped.overlap_saved_s(), 0.0);
+  EXPECT_GT(piped.overlap_fraction(), 0.0);
+  EXPECT_LE(piped.overlap_fraction(), 1.0);
+  // The simulated epoch clock is exactly the blocking clock minus the
+  // hidden time.
+  const auto mean = piped.mean_epoch();
+  EXPECT_NEAR(piped.epoch_time_s(),
+              mean.compute_s + mean.comm_s + mean.reduce_s + mean.sample_s +
+                  mean.swap_s - mean.overlap_s,
+              1e-12);
+}
+
+TEST(Overlap, LegacyBulkConfigTrainsLikeStream) {
+  // Artifacts recorded while a "bulk" schedule existed (one wait_all after
+  // the halo-independent phase) load as stream and must replay the same
+  // bits: losses, eval scores, byte counts and the per-peer tail.
+  const Dataset ds = easy_dataset(179);
+  api::RunConfig legacy = api::run_config_from_json_string(
+      R"({"comm": {"overlap": "bulk"}})");
+  legacy.method = api::Method::kBns;
+  legacy.partition.nparts = 4;
+  legacy.trainer = base_config();
+  legacy.trainer.epochs = 4;
+  api::RunConfig stream = legacy;
+  stream.comm.overlap = OverlapMode::kStream;
+  const auto a = api::run(ds, legacy);
+  const auto b = api::run(ds, stream);
+  EXPECT_EQ(a.train_loss, b.train_loss);
+  EXPECT_EQ(a.final_val, b.final_val);
+  EXPECT_EQ(a.final_test, b.final_test);
+  ASSERT_EQ(a.epochs.size(), b.epochs.size());
+  for (std::size_t i = 0; i < a.epochs.size(); ++i) {
+    EXPECT_EQ(a.epochs[i].feature_bytes, b.epochs[i].feature_bytes) << i;
+    EXPECT_EQ(a.epochs[i].grad_bytes, b.epochs[i].grad_bytes) << i;
+    EXPECT_EQ(a.epochs[i].control_bytes, b.epochs[i].control_bytes) << i;
+    EXPECT_EQ(a.epochs[i].comm_tail_s, b.epochs[i].comm_tail_s) << i;
   }
+  EXPECT_GT(a.overlap_saved_s(), 0.0);
 }
 
 TEST(Overlap, EngineAndApiKnobsCombineToTheStrongerMode) {
@@ -277,13 +296,11 @@ TEST(Overlap, RocProxyAcceptsTheKnob) {
 
   cfg.comm.overlap = OverlapMode::kBlocking;
   const auto blocking = api::run(ds, cfg);
-  for (const OverlapMode mode : {OverlapMode::kBulk, OverlapMode::kStream}) {
-    cfg.comm.overlap = mode;
-    const auto piped = api::run(ds, cfg);
-    // ROC runs through BnsTrainer (p=1): parity plus genuine hidden time.
-    EXPECT_EQ(blocking.train_loss, piped.train_loss);
-    EXPECT_GT(piped.overlap_saved_s(), 0.0);
-  }
+  cfg.comm.overlap = OverlapMode::kStream;
+  const auto piped = api::run(ds, cfg);
+  // ROC runs through BnsTrainer (p=1): parity plus genuine hidden time.
+  EXPECT_EQ(blocking.train_loss, piped.train_loss);
+  EXPECT_GT(piped.overlap_saved_s(), 0.0);
 }
 
 TEST(Overlap, CagnetProxyIgnoresTheKnobAndTracksLoss) {
@@ -296,17 +313,15 @@ TEST(Overlap, CagnetProxyIgnoresTheKnobAndTracksLoss) {
 
   cfg.comm.overlap = OverlapMode::kBlocking;
   const auto blocking = api::run(ds, cfg);
-  for (const OverlapMode mode : {OverlapMode::kBulk, OverlapMode::kStream}) {
-    cfg.comm.overlap = mode;
-    const auto piped = api::run(ds, cfg);
+  cfg.comm.overlap = OverlapMode::kStream;
+  const auto piped = api::run(ds, cfg);
 
-    // The proxy reports a loss per epoch, for every knob setting, and the
-    // dense broadcast hides nothing (no-op fallback).
-    ASSERT_EQ(blocking.train_loss.size(), 3u);
-    ASSERT_EQ(piped.train_loss.size(), 3u);
-    EXPECT_EQ(blocking.train_loss, piped.train_loss);
-    EXPECT_EQ(piped.overlap_saved_s(), 0.0);
-  }
+  // The proxy reports a loss per epoch, for every knob setting, and the
+  // dense broadcast hides nothing (no-op fallback).
+  ASSERT_EQ(blocking.train_loss.size(), 3u);
+  ASSERT_EQ(piped.train_loss.size(), 3u);
+  EXPECT_EQ(blocking.train_loss, piped.train_loss);
+  EXPECT_EQ(piped.overlap_saved_s(), 0.0);
   for (const double l : blocking.train_loss) {
     EXPECT_TRUE(std::isfinite(l));
     EXPECT_GT(l, 0.0);

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <stdexcept>
+#include <string>
+
 #include "core/proxies.hpp"
 #include "graph/dataset.hpp"
 #include "partition/metis_like.hpp"
@@ -104,6 +109,28 @@ TEST(Proxies, CagnetSupportsMultilabel) {
   const auto part = metis_like(ds.graph, 2);
   const auto result = core::run_cagnet_proxy(ds, part, proxy_config(), 1);
   EXPECT_GT(result.mean_epoch().feature_bytes, 0);
+}
+
+TEST(Proxies, CagnetDeadRankUnwindsInsteadOfHanging) {
+  // One rank dies before the first broadcast while its peers block
+  // receiving it. The shared rank runtime must tear the fabric down so
+  // they unwind, and run_cagnet_proxy must rethrow the root cause — not
+  // a peer's collateral ShutdownError. The alarm turns a hang into a loud
+  // SIGALRM instead of a silent CI timeout.
+  const Dataset ds = tiny_dataset();
+  const auto part = metis_like(ds.graph, 3);
+  auto cfg = proxy_config();
+  cfg.fail_rank = 1;
+  alarm(180);
+  try {
+    (void)core::run_cagnet_proxy(ds, part, cfg, 1);
+    ADD_FAILURE() << "dead CAGNET rank went unnoticed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("injected failure: rank 1"),
+              std::string::npos)
+        << e.what();
+  }
+  alarm(0);
 }
 
 } // namespace

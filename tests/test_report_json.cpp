@@ -195,7 +195,7 @@ api::RunConfig sample_config() {
   cfg.trainer.overlap = core::OverlapMode::kStream;
   cfg.trainer.inner_chunk_rows = 96;
   cfg.trainer.threads = 6;
-  cfg.comm.overlap = core::OverlapMode::kBulk;
+  cfg.comm.overlap = core::OverlapMode::kStream;
   cfg.comm.inner_chunk_rows = 48;
   cfg.minibatch.lr = 0.5f;
   cfg.minibatch.batch_size = 777;
@@ -308,8 +308,7 @@ TEST(ConfigJson, UnregisteredMethodNameBecomesCustom) {
 
 TEST(ConfigJson, OverlapModeRoundTripsEveryValue) {
   for (const auto mode :
-       {core::OverlapMode::kBlocking, core::OverlapMode::kBulk,
-        core::OverlapMode::kStream}) {
+       {core::OverlapMode::kBlocking, core::OverlapMode::kStream}) {
     api::RunConfig cfg;
     cfg.comm.overlap = mode;
     cfg.trainer.overlap = mode;
@@ -372,13 +371,14 @@ TEST(ConfigJson, CacheStalenessSurvivesRoundTripWithoutCacheMb) {
 }
 
 TEST(ConfigJson, LegacyOverlapBoolStillParses) {
-  // PR 2/3 artifacts serialized the knob as a bool: true was the (then
+  // The oldest artifacts serialized the knob as a bool: true was the (then
   // only) bulk pipeline, false was blocking. Both spellings must keep
-  // loading, in both the comm block and the trainer block.
+  // loading, in both the comm block and the trainer block; bulk now loads
+  // as stream, which executes the identical fp schedule.
   const api::RunConfig on = api::run_config_from_json_string(
       R"({"comm": {"overlap": true}, "trainer": {"overlap": true}})");
-  EXPECT_EQ(on.comm.overlap, core::OverlapMode::kBulk);
-  EXPECT_EQ(on.trainer.overlap, core::OverlapMode::kBulk);
+  EXPECT_EQ(on.comm.overlap, core::OverlapMode::kStream);
+  EXPECT_EQ(on.trainer.overlap, core::OverlapMode::kStream);
   const api::RunConfig off = api::run_config_from_json_string(
       R"({"comm": {"overlap": false}, "trainer": {"overlap": false}})");
   EXPECT_EQ(off.comm.overlap, core::OverlapMode::kBlocking);
@@ -389,7 +389,9 @@ TEST(ConfigJson, OverlapModeStringsParse) {
   const api::RunConfig cfg = api::run_config_from_json_string(
       R"({"comm": {"overlap": "stream"}, "trainer": {"overlap": "bulk"}})");
   EXPECT_EQ(cfg.comm.overlap, core::OverlapMode::kStream);
-  EXPECT_EQ(cfg.trainer.overlap, core::OverlapMode::kBulk);
+  // The retired "bulk" spelling loads as stream; the writer never emits it.
+  EXPECT_EQ(cfg.trainer.overlap, core::OverlapMode::kStream);
+  EXPECT_EQ(api::to_json_string(cfg).find("bulk"), std::string::npos);
   EXPECT_THROW((void)api::run_config_from_json_string(
                    R"({"comm": {"overlap": "warp"}})"),
                CheckError);

@@ -1,5 +1,5 @@
 // Schedule-fuzz harness: randomized bit-exact parity across the whole
-// execution-schedule space. With three overlap modes × F1 chunking ×
+// execution-schedule space. With the stream schedule × F1 chunking ×
 // cross-layer backward deferral × arbitrary peer-arrival orders × kernel
 // thread-pool lane counts, the
 // execution paths multiply far beyond what hand-enumerated cases cover;
@@ -72,9 +72,7 @@ struct Draw {
         "cache_mb=%lld staleness=%d",
         static_cast<unsigned long long>(seed), nparts,
         model == ModelKind::kGat ? "gat" : "sage",
-        mode == OverlapMode::kBlocking
-            ? "blocking"
-            : (mode == OverlapMode::kBulk ? "bulk" : "stream"),
+        mode == OverlapMode::kBlocking ? "blocking" : "stream",
         chunk, static_cast<unsigned long long>(shuffle), sample_rate,
         static_cast<int>(variant), num_layers,
         static_cast<unsigned long long>(model_seed), threads,
@@ -89,7 +87,8 @@ Draw draw_from_seed(std::uint64_t seed) {
   d.seed = seed;
   d.nparts = static_cast<PartId>(rng.next_int(2, 8));
   d.model = rng.next_bool(0.5) ? ModelKind::kGat : ModelKind::kSage;
-  d.mode = rng.next_bool(0.5) ? OverlapMode::kStream : OverlapMode::kBulk;
+  // Every draw runs the stream schedule against the blocking baseline.
+  d.mode = OverlapMode::kStream;
   // Chunk sizes from pathological (1 row) through typical to
   // larger-than-the-partition (one chunk after all); 0 = unchunked.
   const NodeId chunks[] = {0, 1, 3, 17, 64, 100000};
@@ -269,9 +268,9 @@ TEST(ScheduleFuzz, RandomizedSweep) {
 
 TEST(ScheduleFuzz, PinnedCornerMatrix) {
   // A deterministic mini-matrix that always runs regardless of the sweep
-  // knobs: both models × both pipelined modes × an off-by-one chunk and a
-  // larger-than-partition chunk, under a fixed arrival shuffle, at a
-  // partition count where every rank has several peers.
+  // knobs: both models × the stream schedule × a pathological, an
+  // off-by-one and a larger-than-partition chunk, under a fixed arrival
+  // shuffle, at a partition count where every rank has several peers.
   for (const ModelKind model : {ModelKind::kSage, ModelKind::kGat}) {
     Draw d;
     d.seed = 1; // describe() placeholder; the fields below pin the draw
@@ -281,24 +280,22 @@ TEST(ScheduleFuzz, PinnedCornerMatrix) {
     d.num_layers = 3;
     d.model_seed = 11;
     const TrainResult base = run_draw(d, /*baseline=*/true);
-    for (const OverlapMode mode :
-         {OverlapMode::kBulk, OverlapMode::kStream}) {
-      for (const NodeId chunk : {1, 37, 1 << 20}) {
-        d.mode = mode;
-        d.chunk = chunk;
-        d.shuffle = 0xFADEDBEEFULL;
-        d.threads = chunk == 37 ? 3 : 2; // pool always on in the corners
-        SCOPED_TRACE(d.describe());
-        const TrainResult got = run_draw(d, /*baseline=*/false);
-        expect_parity(base, got, d);
-      }
+    for (const NodeId chunk : {1, 37, 1 << 20}) {
+      d.mode = OverlapMode::kStream;
+      d.chunk = chunk;
+      d.shuffle = 0xFADEDBEEFULL;
+      d.threads = chunk == 37 ? 3 : 2; // pool always on in the corners
+      SCOPED_TRACE(d.describe());
+      const TrainResult got = run_draw(d, /*baseline=*/false);
+      expect_parity(base, got, d);
     }
   }
 }
 
 TEST(ScheduleFuzz, CachedCornerMatrix) {
   // Deterministic cache corners that always run: an exact (staleness-0)
-  // cache under both pipelined modes and a mid-layer chunk, pinned against
+  // cache under the stream schedule, unchunked and with a mid-layer
+  // chunk, pinned against
   // the cached blocking baseline (full parity, counters included) AND the
   // uncached blocking run (loss bits — the cache must not touch numerics).
   Draw d;
@@ -315,23 +312,21 @@ TEST(ScheduleFuzz, CachedCornerMatrix) {
   plain.cache_mb = 0;
   const TrainResult uncached = run_draw(plain, /*baseline=*/true);
   expect_loss_parity(uncached, base, d);
-  for (const OverlapMode mode : {OverlapMode::kBulk, OverlapMode::kStream}) {
-    for (const NodeId chunk : {0, 37}) {
-      d.mode = mode;
-      d.chunk = chunk;
-      d.shuffle = 0xFADEDBEEFULL;
-      d.threads = 2;
-      SCOPED_TRACE(d.describe());
-      const TrainResult got = run_draw(d, /*baseline=*/false);
-      expect_parity(base, got, d);
-    }
+  for (const NodeId chunk : {0, 37}) {
+    d.mode = OverlapMode::kStream;
+    d.chunk = chunk;
+    d.shuffle = 0xFADEDBEEFULL;
+    d.threads = 2;
+    SCOPED_TRACE(d.describe());
+    const TrainResult got = run_draw(d, /*baseline=*/false);
+    expect_parity(base, got, d);
   }
 }
 
 TEST(ScheduleFuzz, ShuffledArrivalsAloneAreHarmless) {
   // The delivery shuffle must be a pure arrival-order perturbation: even
-  // the *blocking* schedule (which never probes) and the bulk wait_all
-  // path train bit-identically under it.
+  // the *blocking* schedule (which never probes) trains bit-identically
+  // under it.
   Draw d;
   d.nparts = 5;
   d.model = ModelKind::kSage;
@@ -339,8 +334,8 @@ TEST(ScheduleFuzz, ShuffledArrivalsAloneAreHarmless) {
   d.num_layers = 2;
   d.model_seed = 23;
   const TrainResult base = run_draw(d, /*baseline=*/true);
-  for (const OverlapMode mode : {OverlapMode::kBlocking, OverlapMode::kBulk,
-                                 OverlapMode::kStream}) {
+  for (const OverlapMode mode :
+       {OverlapMode::kBlocking, OverlapMode::kStream}) {
     d.mode = mode;
     d.chunk = 0;
     d.shuffle = 99991;

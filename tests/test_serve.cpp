@@ -114,8 +114,9 @@ TEST(Serve, TransportInvariantBitwise) {
 }
 
 TEST(Serve, OverlapModeInvariantBitwise) {
-  // The serve forward inherits the trainer's mode contract: blocking,
-  // bulk and stream execute the identical fp instruction stream.
+  // The serve forward runs the trainer's forward driver, so it inherits
+  // the mode contract: blocking and stream execute the identical fp
+  // instruction stream.
   const Dataset ds = small_dataset(79);
   const auto part = metis_like(ds.graph, 4);
   auto cfg = base_config(core::ModelKind::kSage);
