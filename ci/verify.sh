@@ -134,6 +134,10 @@ ctest --test-dir build --output-on-failure -R test_serve
 #             from the caller's own lane once raced only intermittently.
 #   asan    — heap misuse and leaks (LeakSanitizer rides along on Linux).
 #   ubsan   — -fno-sanitize-recover=all, so any UB report is the exit code.
+#             Both sanitizer legs run test_multiprocess: the socket receive
+#             path recv(2)s straight into payload vectors sized from frame
+#             headers, so the forked UDS/TCP ranks are where a bad size or
+#             offset would show.
 #
 # Instrumented runs are bounded: reduced fuzz iterations, --scale 0.2
 # bench smokes. Each sanitizer aborts nonzero on a report, so plain
@@ -141,8 +145,8 @@ ctest --test-dir build --output-on-failure -R test_serve
 INSTRUMENTED_LEGS=(
   "checked|test_ops test_transport test_trainer test_schedule_fuzz bench_overlap|./build-checked/bench/bench_overlap --scale 0.2 --epochs 2 --json build-checked/overlap_smoke.json"
   "tsan|test_thread_pool test_ops test_trainer test_schedule_fuzz|./build-tsan/tests/test_thread_pool --gtest_filter=ThreadPool.NestedCallsRunInlineInsteadOfDeadlocking --gtest_repeat=50"
-  "asan|test_ops test_transport test_trainer test_serve test_schedule_fuzz bench_overlap|./build-asan/bench/bench_overlap --scale 0.2 --epochs 2 --json build-asan/overlap_smoke.json"
-  "ubsan|test_ops test_transport test_trainer test_schedule_fuzz|"
+  "asan|test_ops test_transport test_multiprocess test_trainer test_serve test_schedule_fuzz bench_overlap|./build-asan/bench/bench_overlap --scale 0.2 --epochs 2 --json build-asan/overlap_smoke.json"
+  "ubsan|test_ops test_transport test_multiprocess test_trainer test_schedule_fuzz|"
 )
 for leg in "${INSTRUMENTED_LEGS[@]}"; do
   IFS='|' read -r preset targets extra <<< "$leg"

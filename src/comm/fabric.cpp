@@ -1,7 +1,6 @@
 #include "comm/fabric.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <thread>
 
@@ -122,6 +121,11 @@ void Fabric::enable_delivery_shuffle(std::uint64_t seed, int max_hold) {
 bool Request::test() {
   if (done()) return true;
   Endpoint& ep = *state_->owner;
+  if (is_send()) {
+    state_->done =
+        ep.transport().send_done(ep.rank(), state_->from, state_->ticket);
+    return done();
+  }
   if (ep.transport().try_recv(ep.rank(), state_->from, state_->tag,
                               state_->payload)) {
     state_->done = true;
@@ -133,9 +137,19 @@ bool Request::test() {
 void Request::wait() {
   if (done()) return;
   Endpoint& ep = *state_->owner;
+  if (is_send()) {
+    ep.transport().wait_send(ep.rank(), state_->from, state_->ticket);
+    state_->done = true;
+    return;
+  }
   state_->payload = ep.transport().recv(ep.rank(), state_->from, state_->tag);
   state_->done = true;
   ep.account_rx(state_->cls, state_->payload);
+}
+
+void Request::await_progress(int idle_passes) {
+  Endpoint& ep = *state_->owner;
+  ep.transport().await_progress(ep.rank(), idle_passes);
 }
 
 std::vector<float> Request::take_floats() {
@@ -187,20 +201,15 @@ std::size_t RequestSet::poll(std::vector<std::size_t>& completed) {
 
 std::size_t RequestSet::wait_any(std::vector<std::size_t>& completed) {
   if (pending_ == 0) return 0;
-  for (int empty_passes = 0;; ++empty_passes) {
+  for (int idle_passes = 0;; ++idle_passes) {
     const std::size_t n = poll(completed);
     if (n > 0) return n;
-    // Nothing landed this pass: let sender threads run. A condvar across
-    // several mailboxes would need fabric-level plumbing, so this polls —
-    // but a bare spin-yield would contend with the ranks still computing
-    // (and inflate their measured compute on oversubscribed hosts), so
-    // after a burst of empty passes back off to a real sleep. The socket
-    // backend's try_recv blocks in poll(2) anyway, so the yield is only
-    // ever hit on the mailbox.
-    if (empty_passes < 64) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    // Nothing completed this pass: wait in the transport of any pending
+    // member (every member belongs to the same rank's endpoint).
+    for (std::size_t i = 0; i < requests_.size(); ++i) {
+      if (reported_[i]) continue;
+      requests_[i].await_progress(idle_passes);
+      break;
     }
   }
 }
@@ -228,19 +237,27 @@ void Endpoint::account_rx(TrafficClass cls, const Wire& msg) {
   ++stats_.rx_msgs[static_cast<int>(cls)];
 }
 
-void Endpoint::send_floats(PartId to, int tag, std::vector<float> payload,
-                           TrafficClass cls) {
+Request Endpoint::post(PartId to, Wire msg, TrafficClass cls) {
   BNSGCN_CHECK(to >= 0 && to < fabric_.nranks() && to != rank_);
   const auto bytes =
-      static_cast<std::int64_t>(payload.size() * sizeof(float));
+      static_cast<std::int64_t>(msg.floats.size() * sizeof(float)) +
+      static_cast<std::int64_t>(msg.ids.size() * sizeof(NodeId));
   stats_.tx_bytes[static_cast<int>(cls)] += bytes;
   ++stats_.tx_msgs[static_cast<int>(cls)];
-  transport().send(rank_, to,
-                   Wire{.tag = tag,
-                        .hold = 0,
-                        .kind = WireKind::kFloats,
-                        .floats = std::move(payload),
-                        .ids = {}});
+  const std::uint64_t ticket = transport().send(rank_, to, std::move(msg));
+  // Complete at posting (every mailbox deposit, and a socket frame the
+  // first write took whole): a stateless, already-done Request.
+  if (ticket == 0) return Request();
+  auto state = std::make_unique<Request::State>();
+  state->owner = this;
+  state->from = to;
+  state->ticket = ticket;
+  return Request(std::move(state));
+}
+
+void Endpoint::send_floats(PartId to, int tag, std::vector<float> payload,
+                           TrafficClass cls) {
+  isend_floats(to, tag, std::move(payload), cls).wait();
 }
 
 std::vector<float> Endpoint::recv_floats(PartId from, int tag,
@@ -253,17 +270,7 @@ std::vector<float> Endpoint::recv_floats(PartId from, int tag,
 
 void Endpoint::send_ids(PartId to, int tag, std::vector<NodeId> payload,
                         TrafficClass cls) {
-  BNSGCN_CHECK(to >= 0 && to < fabric_.nranks() && to != rank_);
-  const auto bytes =
-      static_cast<std::int64_t>(payload.size() * sizeof(NodeId));
-  stats_.tx_bytes[static_cast<int>(cls)] += bytes;
-  ++stats_.tx_msgs[static_cast<int>(cls)];
-  transport().send(rank_, to,
-                   Wire{.tag = tag,
-                        .hold = 0,
-                        .kind = WireKind::kIds,
-                        .floats = {},
-                        .ids = std::move(payload)});
+  isend_ids(to, tag, std::move(payload), cls).wait();
 }
 
 std::vector<NodeId> Endpoint::recv_ids(PartId from, int tag,
@@ -276,40 +283,35 @@ std::vector<NodeId> Endpoint::recv_ids(PartId from, int tag,
 
 Request Endpoint::isend_floats(PartId to, int tag, std::vector<float> payload,
                                TrafficClass cls) {
-  // The backend deposit/queue never blocks indefinitely, so an
-  // "immediate" send completes on posting; the Request exists for a
-  // uniform wait_all over mixed batches.
-  send_floats(to, tag, std::move(payload), cls);
-  auto state = std::make_unique<Request::State>();
-  state->done = true;
-  return Request(std::move(state));
+  return post(to,
+              Wire{.tag = tag,
+                   .hold = 0,
+                   .kind = WireKind::kFloats,
+                   .floats = std::move(payload),
+                   .ids = {}},
+              cls);
 }
 
 Request Endpoint::isend_ids(PartId to, int tag, std::vector<NodeId> payload,
                             TrafficClass cls) {
-  send_ids(to, tag, std::move(payload), cls);
-  auto state = std::make_unique<Request::State>();
-  state->done = true;
-  return Request(std::move(state));
+  return post(to,
+              Wire{.tag = tag,
+                   .hold = 0,
+                   .kind = WireKind::kIds,
+                   .floats = {},
+                   .ids = std::move(payload)},
+              cls);
 }
 
 Request Endpoint::isend_halo(PartId to, int tag, std::vector<NodeId> present,
                              std::vector<float> rows, TrafficClass cls) {
-  BNSGCN_CHECK(to >= 0 && to < fabric_.nranks() && to != rank_);
-  const auto bytes =
-      static_cast<std::int64_t>(rows.size() * sizeof(float)) +
-      static_cast<std::int64_t>(present.size() * sizeof(NodeId));
-  stats_.tx_bytes[static_cast<int>(cls)] += bytes;
-  ++stats_.tx_msgs[static_cast<int>(cls)];
-  transport().send(rank_, to,
-                   Wire{.tag = tag,
-                        .hold = 0,
-                        .kind = WireKind::kHaloDelta,
-                        .floats = std::move(rows),
-                        .ids = std::move(present)});
-  auto state = std::make_unique<Request::State>();
-  state->done = true;
-  return Request(std::move(state));
+  return post(to,
+              Wire{.tag = tag,
+                   .hold = 0,
+                   .kind = WireKind::kHaloDelta,
+                   .floats = std::move(rows),
+                   .ids = std::move(present)},
+              cls);
 }
 
 std::vector<float> Endpoint::acquire_floats(std::size_t n) {

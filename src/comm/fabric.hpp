@@ -78,10 +78,14 @@ class Endpoint {
                                              TrafficClass cls);
 
   /// Nonblocking point-to-point. isend hands the payload to the backend
-  /// and completes immediately (mailboxes are unbounded and socket sends
-  /// queue locally, like an eager-protocol MPI send); irecv posts a
+  /// and returns a Request that completes when the backend is done with
+  /// it: at posting on the mailbox (an unbounded eager deposit), once the
+  /// whole frame is written to the socket on the socket fabrics (already
+  /// at posting when the first sendmsg(2) took it all). irecv posts a
   /// receive that completes when a matching message is delivered.
-  /// Complete with Request::wait()/test() or comm::wait_all.
+  /// Complete with Request::wait()/test() or comm::wait_all; waiting on a
+  /// send keeps reading what peers send, so it cannot deadlock. The
+  /// blocking send_* calls are isend + wait.
   [[nodiscard]] Request isend_floats(PartId to, int tag,
                                      std::vector<float> payload,
                                      TrafficClass cls);
@@ -139,6 +143,8 @@ class Endpoint {
   Endpoint(Fabric& fabric, PartId rank) : fabric_(fabric), rank_(rank) {}
 
   Transport& transport();
+  /// Account and post one send; the Request completes it.
+  [[nodiscard]] Request post(PartId to, Wire msg, TrafficClass cls);
   void account_rx(TrafficClass cls, const Wire& msg);
 
   Fabric& fabric_;
@@ -198,10 +204,12 @@ class Fabric {
 void run_rank_threads(Fabric& fabric,
                       const std::function<void(PartId)>& body);
 
-/// Handle to a nonblocking operation. Sends are complete on creation
-/// (eager deposit); receives complete when the matching message is taken
-/// out of the backend by test()/wait(). Movable, non-copyable; must be
-/// completed (or destroyed) by the thread owning the posting endpoint.
+/// Handle to a nonblocking operation. Sends complete when the backend is
+/// done with their payload (see Endpoint::isend_floats); receives complete
+/// when the matching message is taken out of the backend by test()/wait().
+/// Movable, non-copyable; must be completed (or destroyed) by the thread
+/// owning the posting endpoint. Destroying a pending send does not cancel
+/// it: its frame stays queued and later transport calls write it.
 ///
 /// Payload buffers are double-buffered across the exchange: the in-flight
 /// bytes live in the backend (mailbox message / socket frame) while the
@@ -219,7 +227,7 @@ class Request {
   Request(const Request&) = delete;
   Request& operator=(const Request&) = delete;
 
-  /// True when the operation has completed (sends: always).
+  /// True when the operation has completed.
   [[nodiscard]] bool done() const { return state_ == nullptr || state_->done; }
   /// Nonblocking completion probe; returns done().
   bool test();
@@ -234,14 +242,19 @@ class Request {
 
  private:
   friend class Endpoint;
+  friend class RequestSet;
   struct State {
-    Endpoint* owner = nullptr;  // null for completed sends
-    PartId from = 0;
+    Endpoint* owner = nullptr;
+    PartId from = 0;  // receives: the peer; sends: the destination
     int tag = 0;
     TrafficClass cls = TrafficClass::kFeature;
     bool done = false;
+    std::uint64_t ticket = 0;  // sends: the transport's completion ticket
     Wire payload;
   };
+  [[nodiscard]] bool is_send() const { return state_->ticket != 0; }
+  /// The owning transport's bounded progress wait (RequestSet::wait_any).
+  void await_progress(int idle_passes);
   explicit Request(std::unique_ptr<State> state) : state_(std::move(state)) {}
   std::unique_ptr<State> state_;
 };
@@ -280,10 +293,11 @@ class RequestSet {
   /// scan order). Returns how many completed this pass.
   std::size_t poll(std::vector<std::size_t>& completed);
 
-  /// Block until at least one pending request completes (poll loop with a
-  /// cooperative yield — the fabric has no multi-mailbox condvar). Appends
-  /// the newly completed indices; returns the count. No-op returning 0
-  /// when nothing is pending.
+  /// Block until at least one pending request completes: poll passes
+  /// separated by the transport's bounded progress wait (sockets sleep in
+  /// poll(2); the mailbox, which has no multi-mailbox condvar, yields and
+  /// then sleeps). Appends the newly completed indices; returns the count.
+  /// No-op returning 0 when nothing is pending.
   std::size_t wait_any(std::vector<std::size_t>& completed);
 
   /// Complete everything still pending (MPI_Waitall over the remainder).

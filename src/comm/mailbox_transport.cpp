@@ -1,6 +1,8 @@
 #include "comm/mailbox_transport.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 
 #include "common/check.hpp"
 
@@ -52,7 +54,7 @@ int MailboxTransport::hold_of(PartId from, PartId to, int tag) const {
   return static_cast<int>(z % static_cast<std::uint64_t>(shuffle_max_hold_));
 }
 
-void MailboxTransport::send(PartId from, PartId to, Wire msg) {
+std::uint64_t MailboxTransport::send(PartId from, PartId to, Wire msg) {
   check_alive();
   msg.hold = hold_of(from, to, msg.tag);
   auto& box = mailbox(from, to);
@@ -61,6 +63,26 @@ void MailboxTransport::send(PartId from, PartId to, Wire msg) {
     box.queue.push_back(std::move(msg));
   }
   box.cv.notify_all();
+  return 0;
+}
+
+bool MailboxTransport::send_done(PartId /*rank*/, PartId /*to*/,
+                                 std::uint64_t ticket) {
+  BNSGCN_CHECK(ticket == 0);
+  return true;
+}
+
+void MailboxTransport::wait_send(PartId /*rank*/, PartId /*to*/,
+                                 std::uint64_t ticket) {
+  BNSGCN_CHECK(ticket == 0);
+}
+
+void MailboxTransport::await_progress(PartId /*rank*/, int idle_passes) {
+  if (idle_passes < 64) {
+    std::this_thread::yield();
+  } else {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
 }
 
 bool MailboxTransport::try_recv(PartId rank, PartId from, int tag, Wire& out) {

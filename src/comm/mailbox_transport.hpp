@@ -29,9 +29,16 @@ class MailboxTransport final : public Transport {
     return TimingSource::kSimulated;
   }
 
-  void send(PartId from, PartId to, Wire msg) override;
+  /// Deposits complete on posting: the ticket is always 0.
+  [[nodiscard]] std::uint64_t send(PartId from, PartId to, Wire msg) override;
+  bool send_done(PartId rank, PartId to, std::uint64_t ticket) override;
+  void wait_send(PartId rank, PartId to, std::uint64_t ticket) override;
   bool try_recv(PartId rank, PartId from, int tag, Wire& out) override;
   [[nodiscard]] Wire recv(PartId rank, PartId from, int tag) override;
+  /// Yield for the first 64 idle passes, then sleep 50 µs per pass: a
+  /// bare spin-yield would contend with the ranks still computing (and
+  /// inflate their measured compute on oversubscribed hosts).
+  void await_progress(PartId rank, int idle_passes) override;
 
   void barrier(PartId rank) override;
   void allreduce_sum(PartId rank, std::span<float> data) override;

@@ -71,14 +71,30 @@ class Transport {
   [[nodiscard]] virtual bool serves(PartId rank) const = 0;
   [[nodiscard]] virtual TimingSource timing() const = 0;
 
-  /// Tagged point-to-point. send never blocks indefinitely (eager
-  /// deposit or queued write); recv blocks until a matching message
-  /// arrives; try_recv is one nonblocking progress-and-probe pass.
-  /// Blocking and probing calls throw ShutdownError once the fabric is
-  /// shut down or the peer is gone.
-  virtual void send(PartId from, PartId to, Wire msg) = 0;
+  /// Tagged point-to-point. send never blocks: it deposits (mailbox) or
+  /// queues the frame and writes what the socket takes now, and returns a
+  /// ticket for its completion — 0 when it is already complete, otherwise
+  /// a value send_done/wait_send complete (a socket send completes once
+  /// its whole frame is written). recv blocks until a matching message
+  /// arrives; try_recv and send_done are one nonblocking
+  /// progress-and-probe pass. Every wait keeps both directions moving, so
+  /// a rank waiting for a send still reads what peers send it. Blocking
+  /// and probing calls throw ShutdownError once the fabric is shut down
+  /// or the peer is gone.
+  [[nodiscard]] virtual std::uint64_t send(PartId from, PartId to,
+                                           Wire msg) = 0;
+  virtual bool send_done(PartId rank, PartId to, std::uint64_t ticket) = 0;
+  virtual void wait_send(PartId rank, PartId to, std::uint64_t ticket) = 0;
   virtual bool try_recv(PartId rank, PartId from, int tag, Wire& out) = 0;
   [[nodiscard]] virtual Wire recv(PartId rank, PartId from, int tag) = 0;
+
+  /// Bounded blocking wait for progress, for a caller that has just
+  /// probed its requests without a completion (`idle_passes` such probes
+  /// in a row): sockets sleep in poll(2) until a peer is readable or a
+  /// queued write can move, for at most a few tens of milliseconds; the
+  /// mailbox, with nothing to wait on across its mailboxes, yields and
+  /// then sleeps.
+  virtual void await_progress(PartId rank, int idle_passes) = 0;
 
   /// Collectives; every rank must enter each in the same order.
   virtual void barrier(PartId rank) = 0;

@@ -28,12 +28,13 @@ enum class OverlapMode : int { kBlocking = 0, kStream = 1 };
 // ---- Pipelined (split-phase) exchange -------------------------------------
 // One in-flight boundary exchange: sends are posted eagerly, receives into a
 // completion set; the caller computes the halo-independent phase and folds
-// the payloads afterwards. The fold always applies peers in ascending index
-// order (deterministic reduction): blocking waits for everything right after
-// posting, stream polls the set and applies each peer the moment it and
-// every earlier peer have landed — the fold itself sits at the same point of
-// the schedule with the same order in both modes, so both execute the
-// identical fp instruction stream.
+// the payloads afterwards, and FoldDriver completes both directions before
+// the exchange counts as done. The fold always applies peers in ascending
+// index order (deterministic reduction): blocking waits for everything right
+// after posting, stream polls the set and applies each peer the moment it
+// and every earlier peer have landed — the fold itself sits at the same
+// point of the schedule with the same order in both modes, so both execute
+// the identical fp instruction stream.
 //
 // This machinery — and the per-layer forward driver built on it
 // (HaloExchanger::forward_layer) — is shared verbatim by training,
@@ -42,7 +43,12 @@ enum class OverlapMode : int { kBlocking = 0, kStream = 1 };
 // the training-forward oracle (docs/ARCHITECTURE.md §10).
 
 struct PendingExchange {
-  std::vector<comm::Request> sends;  // complete on posting (eager)
+  // One send per peer. On the mailbox each completes at posting; on a
+  // socket, once its whole frame is written — which takes this rank's own
+  // transport calls, so FoldDriver completes them before the
+  // exchange counts as done (a send left queued would stall the peer
+  // until this rank next entered the transport).
+  comm::RequestSet sends;
   std::vector<PartId> peers;         // peer of recvs.at(k)
   comm::RequestSet recvs;
   double sim_s = 0.0;   // simulated wire time of the whole exchange
@@ -56,10 +62,11 @@ struct PendingExchange {
   std::vector<CacheStep> cache_steps;
   // Measured-timing capture (socket fabrics; also tracked on the mailbox
   // where it is simply unused). The Stopwatch starts when the exchange is
-  // posted; span is frozen at the last receive completion — inside the
-  // fold driver, whichever mode waited for it.
+  // posted; the span is frozen once both directions are complete — every
+  // receive landed and every send written — inside FoldDriver, whichever
+  // mode waited for it.
   Stopwatch clock;
-  double meas_span_s = 0.0;  // post -> last receive completion
+  double meas_span_s = 0.0;  // post -> both directions complete
   double wait_s = 0.0;       // portion of the span spent blocked in waits
 };
 
@@ -71,10 +78,11 @@ struct PendingExchange {
 // (the wire buffer — see comm::Request) until their turn, so the numeric
 // fold order is identical to a wait_all, while in stream mode the fold
 // *work* of early peers overlaps the transfers still in flight. Blocking
-// mode waits for every peer in the constructor (right after posting);
-// poll() is the nonblocking pass the caller runs between compute chunks
-// (a no-op when blocking); drain() completes the remainder with wait_any
-// progress.
+// mode waits for every peer — receives, then its own sends — in the
+// constructor (right after posting); poll() is the nonblocking pass the
+// caller runs between compute chunks (a no-op when blocking); drain()
+// completes the remaining receives with wait_any progress, then the
+// sends, so no exchange leaves FoldDriver with bytes still queued.
 //
 // Accounting follows the schedule, not the in-process mailboxes (whose
 // eager delivery reflects thread-scheduling skew, not wire time): under the
@@ -91,6 +99,7 @@ class FoldDriver {
     if (stream_) return;
     Stopwatch w;
     px_.recvs.wait_all();
+    px_.sends.wait_all();
     px_.wait_s += w.elapsed_s();
     freeze_span();
   }
@@ -104,6 +113,7 @@ class FoldDriver {
     ready_.clear();
     (void)px_.recvs.poll(ready_);
     for (const std::size_t i : ready_) arrived_[i] = 1;
+    (void)px_.sends.poll(ready_); // sends count only toward the span
     freeze_span();
     apply_ready(apply, compute_acc);
   }
@@ -121,6 +131,11 @@ class FoldDriver {
       freeze_span();
       apply_ready(apply, compute_acc);
     }
+    if (!px_.sends.all_done()) {
+      Stopwatch w;
+      px_.sends.wait_all();
+      px_.wait_s += w.elapsed_s();
+    }
     freeze_span();
   }
 
@@ -132,10 +147,12 @@ class FoldDriver {
   [[nodiscard]] double window_s() const { return window_s_; }
 
  private:
-  /// Measured span ends at the last receive completion; record it the
-  /// first time the set drains empty (later passes are no-ops).
+  /// Measured span ends when both directions are complete (every receive
+  /// landed, every send written); record it the first time both sets are
+  /// drained (later passes are no-ops).
   void freeze_span() {
-    if (px_.meas_span_s == 0.0 && px_.recvs.all_done())
+    if (px_.meas_span_s == 0.0 && px_.recvs.all_done() &&
+        px_.sends.all_done())
       px_.meas_span_s = px_.clock.elapsed_s();
   }
 
@@ -168,7 +185,7 @@ class FoldDriver {
 struct ExchangeTally {
   double sim_tail_s = 0.0;     // Σ slowest single peer message
   double sim_overlap_s = 0.0;  // Σ min(transfer, in-flight compute)
-  double meas_span_s = 0.0;    // Σ post -> last receive completion
+  double meas_span_s = 0.0;    // Σ post -> both directions complete
   double meas_overlap_s = 0.0; // Σ part of the span not blocked in a wait
 
   /// Count one drained exchange. `inflight` is the compute the caller ran
