@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the kernels the trainer spends
 // its time in: GEMM, mean aggregation, boundary sampling/compaction, and
 // the METIS-like partitioner. GEMM rows report GFLOP/s and %peak_muladd,
-// aggregation rows GB/s of computed bytes; the run context names the
-// dispatched ISA (kernel_isa) and the peak.
+// aggregation and activation-epilogue rows GB/s of computed bytes; the run
+// context names the dispatched ISA (kernel_isa) and the peak.
 
 #include <benchmark/benchmark.h>
 
@@ -285,6 +285,49 @@ BENCHMARK(BM_MeanAggregateBackwardThreads)
     ->ArgsProduct({{32768}, {64, 128}, {1, 2, 4, 8}})
     ->ArgNames({"n", "d", "threads"})
     ->UseRealTime();
+
+// The fused activation epilogue at a hidden layer's output shape (n × d):
+// ReLU, then inverted dropout at p = 0.3 with the flag record, as a
+// training forward runs it; and its backward. Each iteration restores the
+// input outside the timed region. GB/s counts computed bytes, 9 per
+// element either way: one float read and written, plus the flag byte
+// written (forward) or read (backward).
+template <bool kBackward>
+void run_activation(benchmark::State& state, std::int64_t n, std::int64_t d) {
+  Rng rng(3);
+  Matrix src(n, d);
+  src.randomize_gaussian(rng, 1.0f);
+  Rng drop(4);
+  ops::ActivationRecord rec;
+  Matrix x = src;
+  ops::activation_forward(x, nullptr, /*relu=*/true, 0.3f, drop, &rec);
+  for (auto _ : state) {
+    state.PauseTiming();
+    x = src;
+    state.ResumeTiming();
+    if constexpr (kBackward) {
+      ops::activation_backward(x, rec);
+    } else {
+      ops::activation_forward(x, nullptr, /*relu=*/true, 0.3f, drop, &rec);
+    }
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  const double bytes = static_cast<double>(n * d) * 9.0 *
+                       static_cast<double>(state.iterations());
+  state.counters["GB/s"] =
+      benchmark::Counter(bytes * 1e-9, benchmark::Counter::kIsRate);
+}
+
+void BM_ActivationForward(benchmark::State& state) {
+  run_activation<false>(state, state.range(0), state.range(1));
+}
+BENCHMARK(BM_ActivationForward)->Args({32768, 64})->ArgNames({"n", "d"});
+
+void BM_ActivationBackward(benchmark::State& state) {
+  run_activation<true>(state, state.range(0), state.range(1));
+}
+BENCHMARK(BM_ActivationBackward)->Args({32768, 64})->ArgNames({"n", "d"});
 
 void BM_EpochPlannerDraw(benchmark::State& state) {
   // Strategy-only cost of one epoch's random draw (no compaction, no

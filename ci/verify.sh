@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verify: docs link check, determinism lint, then configure, build
+# Tier-1 verify: docs link check, the perfbench unit tests, determinism
+# lint, then configure, build
 # everything (library, benches, examples, test binaries, tools) and run the
 # full test suite — including test_overlap, the blocking/stream/chunked
 # bit-parity gate of the async fabric (run once more by name so a
@@ -11,6 +12,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ./ci/check_docs_links.sh
+
+# The benchmark harness's own unit tests (perfbench/test_*.py: the
+# statistics and the trace reduction run.py reports through), writing no
+# bytecode into the source tree.
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 if command -v ninja >/dev/null 2>&1; then
   export CMAKE_GENERATOR=Ninja

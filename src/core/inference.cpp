@@ -50,8 +50,8 @@ class ServeWorker {
                            " has mismatched shape");
       *params[i] = weights.params[i];
     }
-    // Inference mode: maskless activations (identical values), backward
-    // caches and gradient buffers freed.
+    // Inference mode: activations record no flags (identical values),
+    // backward caches and gradient buffers freed.
     for (auto& l : layers_) l->set_inference(true);
 
     // Serving always exchanges the full boundary set (the unsampled plan —
@@ -164,10 +164,11 @@ class ServeWorker {
     nn::SourceIncidence inc;
     Accumulator compute_acc; // driver bookkeeping; unused further
     ExchangeTally tally;
-    Matrix h = x_local_;
+    Matrix h; // layer 0 reads the input block in place
     for (int l = 0; l < cfg_.num_layers; ++l)
-      h = hx_->forward_layer(*layers_[static_cast<std::size_t>(l)], h,
-                             full_plan_, inc, lg_.inv_full_degree,
+      h = hx_->forward_layer(*layers_[static_cast<std::size_t>(l)],
+                             l == 0 ? x_local_ : h, full_plan_, inc,
+                             lg_.inv_full_degree,
                              {.tag = next_tag(), .cache_layer = -1,
                               .training = false, .build_inc = l == 0},
                              compute_acc, tally);

@@ -266,19 +266,18 @@ class RankWorker {
     const int L = cfg_.num_layers;
     ExchangeTally tally;
     nn::SourceIncidence inc;
-    std::vector<Matrix> h(static_cast<std::size_t>(L) + 1);
-    h[0] = x_local_;
+    // Layer 0 reads the input block in place; each later layer reads the
+    // one output before it (the layers cache what their backward needs).
+    Matrix h;
     for (int l = 0; l < L; ++l) {
-      const Matrix& h_in = h[static_cast<std::size_t>(l)];
+      const Matrix& h_in = l == 0 ? x_local_ : h;
       if (cfg_.simulate_host_swap) host_swap(h_in);
-      h[static_cast<std::size_t>(l) + 1] = hx_->forward_layer(
-          *layers_[static_cast<std::size_t>(l)], h_in, plan, inc,
-          lg_.inv_full_degree,
-          {.tag = next_tag(), .cache_layer = l, .training = true,
-           .build_inc = l == 0},
-          compute_acc, tally);
-      if (cfg_.simulate_host_swap)
-        host_swap(h[static_cast<std::size_t>(l) + 1]);
+      h = hx_->forward_layer(*layers_[static_cast<std::size_t>(l)], h_in, plan,
+                             inc, lg_.inv_full_degree,
+                             {.tag = next_tag(), .cache_layer = l,
+                              .training = true, .build_inc = l == 0},
+                             compute_acc, tally);
+      if (cfg_.simulate_host_swap) host_swap(h);
     }
 
     // ---- Loss (line 12) ------------------------------------------------
@@ -286,7 +285,7 @@ class RankWorker {
     double local_loss = 0.0;
     {
       ScopedTimer t(compute_acc);
-      const Matrix& logits = h[static_cast<std::size_t>(L)];
+      const Matrix& logits = h;
       local_loss =
           ds_.multilabel
               ? nn::sigmoid_bce(logits, targets_local_, train_rows_,
@@ -460,10 +459,11 @@ class RankWorker {
     nn::SourceIncidence inc;
     Accumulator compute_acc; // evaluation is not part of the breakdown
     ExchangeTally tally;
-    Matrix h = x_local_;
+    Matrix h; // layer 0 reads the input block in place
     for (int l = 0; l < cfg_.num_layers; ++l)
-      h = hx_->forward_layer(*layers_[static_cast<std::size_t>(l)], h,
-                             full_plan_, inc, lg_.inv_full_degree,
+      h = hx_->forward_layer(*layers_[static_cast<std::size_t>(l)],
+                             l == 0 ? x_local_ : h, full_plan_, inc,
+                             lg_.inv_full_degree,
                              {.tag = next_tag(), .cache_layer = -1,
                               .training = false, .build_inc = l == 0},
                              compute_acc, tally);

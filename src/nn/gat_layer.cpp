@@ -136,18 +136,10 @@ Matrix GatLayer::attention_forward(const BipartiteCsr& adj, bool training) {
     }
   }
 
-  if (opts_.relu) {
-    if (inference_) {
-      ops::relu_forward(out);
-    } else {
-      ops::relu_forward(out, relu_mask_);
-    }
-  }
-  if (training && opts_.dropout > 0.0f) {
-    ops::dropout_forward(out, dropout_mask_, opts_.dropout, dropout_rng_);
-  } else {
-    dropout_mask_.resize(0, 0);
-  }
+  // Serving has no backward, so it records nothing.
+  ops::activation_forward(out, nullptr, opts_.relu,
+                          training ? opts_.dropout : 0.0f, dropout_rng_,
+                          inference_ ? nullptr : &act_);
   return out;
 }
 
@@ -248,8 +240,7 @@ void GatLayer::release_training_state() {
     h.slope.clear();
     h.slope.shrink_to_fit();
   }
-  relu_mask_.resize(0, 0);
-  dropout_mask_.resize(0, 0);
+  act_ = {};
 }
 
 Matrix GatLayer::backward(const BipartiteCsr& adj, const Matrix& dout,
@@ -257,9 +248,7 @@ Matrix GatLayer::backward(const BipartiteCsr& adj, const Matrix& dout,
   (void)inv_deg;
   BNSGCN_CHECK(dout.rows() == adj.n_dst && dout.cols() == d_out_);
   Matrix g = dout;
-  if (cached_training_ && !dropout_mask_.empty())
-    ops::dropout_backward(g, dropout_mask_);
-  if (opts_.relu) ops::relu_backward(g, relu_mask_);
+  ops::activation_backward(g, act_);
 
   Matrix dfeats(adj.n_src, d_in_);
 
@@ -349,9 +338,7 @@ Matrix GatLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
   // GEMMs and the inner gradients wait for backward_inner — they feed
   // nothing until the epoch-end allreduce / the next layer down.
   Matrix g = dout;
-  if (cached_training_ && !dropout_mask_.empty())
-    ops::dropout_backward(g, dropout_mask_);
-  if (opts_.relu) ops::relu_backward(g, relu_mask_);
+  ops::activation_backward(g, act_);
 
   const NodeId n_halo = adj.n_src - adj.n_dst;
   Matrix dhalo(n_halo, d_in_);

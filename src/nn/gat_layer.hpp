@@ -1,6 +1,7 @@
 #pragma once
 
 #include "nn/layer.hpp"
+#include "tensor/ops.hpp"
 
 namespace bnsgcn::nn {
 
@@ -119,8 +120,7 @@ class GatLayer final : public Layer {
   Rng dropout_rng_;
 
   Matrix feats_cache_;
-  Matrix relu_mask_;
-  Matrix dropout_mask_;
+  ops::ActivationRecord act_; // what the output epilogue applied
   bool cached_training_ = false;
 };
 

@@ -340,8 +340,8 @@ class Layer {
   /// Serving mode (docs/ARCHITECTURE.md §10): forward-only execution. The
   /// forward fp instruction stream is unchanged — outputs stay bit-identical
   /// to a training=false forward — but the layer skips the pure-backward
-  /// caches (activation masks, the concat/feature caches backward_params
-  /// reads) and releases its gradient buffers. One-way in practice: after
+  /// state (the activation epilogue's flag record, the feature caches
+  /// backward_params reads) and releases its gradient buffers. One-way in practice: after
   /// switching, backward() must not be called until the next training
   /// forward rebuilds the caches.
   void set_inference(bool on) {

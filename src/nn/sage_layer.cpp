@@ -1,7 +1,5 @@
 #include "nn/sage_layer.hpp"
 
-#include "tensor/ops.hpp"
-
 namespace bnsgcn::nn {
 
 SageLayer::SageLayer(std::int64_t d_in, std::int64_t d_out,
@@ -11,37 +9,33 @@ SageLayer::SageLayer(std::int64_t d_in, std::int64_t d_out,
   ops::glorot_init(w_, rng);
 }
 
+void SageLayer::activate(Matrix& out, const Matrix* bias, bool training) {
+  ops::activation_forward(out, bias, opts_.relu,
+                          training ? opts_.dropout : 0.0f, dropout_rng_,
+                          inference_ ? nullptr : &act_);
+}
+
 Matrix SageLayer::forward(const BipartiteCsr& adj, const Matrix& feats,
                           std::span<const float> inv_deg, bool training) {
   BNSGCN_CHECK(feats.cols() == d_in_);
   BNSGCN_CHECK(feats.rows() == adj.n_src);
   cached_training_ = training;
 
-  Matrix z;
-  mean_aggregate(adj, feats, inv_deg, z);
+  mean_aggregate(adj, feats, inv_deg, z_);
 
-  // Self features are the first n_dst rows of feats by the local-id layout.
-  Matrix self(adj.n_dst, d_in_);
-  std::copy(feats.data(), feats.data() + adj.n_dst * d_in_, self.data());
-
-  ops::concat_cols(z, self, u_cache_);
-
+  // u·W over u = [z | self]: the z terms, then the self terms — self being
+  // the first n_dst rows of feats by the local-id layout — into the
+  // constructor's zeros, which is the stacked beta = 0 GEMM term for term.
   Matrix out(adj.n_dst, d_out_);
-  ops::gemm_nn(u_cache_, w_, out);
-  ops::add_row_bias(out, b_);
-
-  if (opts_.relu) {
-    if (inference_) {
-      ops::relu_forward(out);
-    } else {
-      ops::relu_forward(out, relu_mask_);
-    }
+  ops::gemm_nn_rows(z_, w_agg(), out, 0, adj.n_dst, 1.0f, 1.0f);
+  ops::gemm_nn_rows(feats, w_self(), out, 0, adj.n_dst, 1.0f, 1.0f);
+  // The backward's dW_self input; serving has no backward.
+  if (!inference_) {
+    self_cache_.resize(adj.n_dst, d_in_);
+    std::copy(feats.data(), feats.data() + adj.n_dst * d_in_,
+              self_cache_.data());
   }
-  if (training && opts_.dropout > 0.0f) {
-    ops::dropout_forward(out, dropout_mask_, opts_.dropout, dropout_rng_);
-  } else {
-    dropout_mask_.resize(0, 0);
-  }
+  activate(out, &b_, training);
   return out;
 }
 
@@ -53,25 +47,26 @@ void SageLayer::forward_inner_begin(const BipartiteCsr& adj,
   cached_training_ = training;
   // Setup only: the halo-independent work — inner-source partial
   // aggregation AND the self half of the transform (u·W splits as
-  // z·W[:d_in] + self·W[d_in:] under the concat layout) — runs in the row
-  // chunks, so RequestSet polls (and peer folds) can interleave.
+  // z·W_agg + self·W_self) — runs in the row chunks, so RequestSet polls
+  // (and peer folds) can interleave.
   self_cache_ = inner_feats;
-  z_partial_.resize(adj.n_dst, d_in_); // resize zero-fills
-  w_half_.resize(d_in_, d_out_);
-  std::copy(w_.data() + d_in_ * d_out_, w_.data() + 2 * d_in_ * d_out_,
-            w_half_.data());
-  out_partial_.resize(adj.n_dst, d_out_);
+  z_.resize(adj.n_dst, d_in_);            // resize zero-fills
+  out_partial_.resize(adj.n_dst, d_out_); // so do these: the chunks'
+                                          // beta = 0 start
 }
 
 void SageLayer::forward_inner_chunk(const BipartiteCsr& adj, NodeId row0,
                                     NodeId row1) {
   phase_check_.on_forward_chunk(row0, row1);
-  mean_aggregate_inner_rows(adj, self_cache_, row0, row1, z_partial_);
+  mean_aggregate_inner_rows(adj, self_cache_, row0, row1, z_);
   // Row-range self transform, straight into the output rows: gemm_nn_rows
   // computes each row independently with the fixed k-loop order, so any
   // chunking is bit-identical to the fused GEMM — and no chunk stages
-  // through heap copies.
-  ops::gemm_nn_rows(self_cache_, w_half_, out_partial_, row0, row1);
+  // through heap copies. beta = 1 accumulates onto the zeros that
+  // forward_inner_begin's resize wrote: the beta = 0 arithmetic without a
+  // second fill.
+  ops::gemm_nn_rows(self_cache_, w_self(), out_partial_, row0, row1, 1.0f,
+                    1.0f);
   ops::add_row_bias_rows(out_partial_, b_, row0, row1);
 }
 
@@ -80,10 +75,10 @@ void SageLayer::forward_halo_begin(const BipartiteCsr& adj,
   phase_check_.on_halo_begin();
   BNSGCN_CHECK(inc.n_lo == adj.n_dst && inc.n_src == adj.n_src);
   inc_ = &inc;
-  // Folds accumulate here, not in z_partial_: a fold may land before the
-  // F1 chunk that computes its destination rows, and the separate buffer
-  // is what keeps the per-row order (inner terms, then the halo sum)
-  // independent of that timing.
+  // Folds accumulate here, not in z_: a fold may land before the F1 chunk
+  // that computes its destination rows, and the separate buffer is what
+  // keeps the per-row order (inner terms, then the halo sum) independent
+  // of that timing.
   z_halo_.resize(adj.n_dst, d_in_); // resize zero-fills
 }
 
@@ -99,34 +94,14 @@ void SageLayer::forward_halo_fold(const BipartiteCsr& adj,
 Matrix SageLayer::forward_halo_finish(const BipartiteCsr& adj,
                                       std::span<const float> inv_deg) {
   phase_check_.on_halo_finish();
-  (void)adj;
-  for (std::int64_t i = 0; i < z_partial_.size(); ++i)
-    z_partial_.data()[i] += z_halo_.data()[i];
-  mean_aggregate_finish(inv_deg, z_partial_);
+  for (std::int64_t i = 0; i < z_.size(); ++i)
+    z_.data()[i] += z_halo_.data()[i];
+  mean_aggregate_finish(inv_deg, z_);
 
   Matrix out = std::move(out_partial_);
-  w_half_.resize(d_in_, d_out_);
-  std::copy(w_.data(), w_.data() + d_in_ * d_out_, w_half_.data());
-  ops::gemm_nn(z_partial_, w_half_, out, 1.0f, 1.0f);
-
-  // Backward consumes the assembled concat exactly as the fused path does;
-  // inference has no backward, so the cache (and the ReLU mask) are skipped
-  // — the output values are untouched by either skip.
-  if (!inference_) {
-    ops::concat_cols(z_partial_, self_cache_, u_cache_);
-  }
-  if (opts_.relu) {
-    if (inference_) {
-      ops::relu_forward(out);
-    } else {
-      ops::relu_forward(out, relu_mask_);
-    }
-  }
-  if (cached_training_ && opts_.dropout > 0.0f) {
-    ops::dropout_forward(out, dropout_mask_, opts_.dropout, dropout_rng_);
-  } else {
-    dropout_mask_.resize(0, 0);
-  }
+  ops::gemm_nn_rows(z_, w_agg(), out, 0, adj.n_dst, 1.0f, 1.0f);
+  // The bias went in with the self half (phase F1).
+  activate(out, nullptr, cached_training_);
   return out;
 }
 
@@ -135,14 +110,13 @@ Matrix SageLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
   phase_check_.on_backward_halo();
   BNSGCN_CHECK(dout.rows() == adj.n_dst && dout.cols() == d_out_);
   // Only what the wire needs happens before the exchange is posted: the
-  // activation backward and the halo-source scatter. Parameter gradients
-  // are deferred to backward_inner (the in-flight phase) — they feed
-  // nothing until the epoch-end allreduce.
+  // activation backward, the aggregation half of dU and the halo-source
+  // pull. The self half of dU waits for backward_inner, and the parameter
+  // gradients for backward_params — neither feeds the wire.
   g_cache_ = dout;
-  activation_backward(g_cache_);
-  Matrix du(adj.n_dst, 2 * d_in_);
-  ops::gemm_nt(g_cache_, w_, du);
-  ops::split_cols(du, dz_cache_, dself_cache_, d_in_);
+  ops::activation_backward(g_cache_, act_);
+  dz_cache_.resize(adj.n_dst, d_in_); // zero-filled: the beta = 0 start
+  ops::gemm_nt(g_cache_, w_agg(), dz_cache_, 1.0f, 1.0f);
 
   // The incidence of the forward's halo_begin: the epoch's adjacency.
   BNSGCN_CHECK(inc_ != nullptr && inc_->n_src == adj.n_src);
@@ -151,10 +125,13 @@ Matrix SageLayer::backward_halo(const BipartiteCsr& adj, const Matrix& dout,
   return dhalo;
 }
 
-Matrix SageLayer::backward_inner(const BipartiteCsr&,
+Matrix SageLayer::backward_inner(const BipartiteCsr& adj,
                                  std::span<const float> inv_deg) {
   phase_check_.on_backward_inner();
-  Matrix dinner = dself_cache_; // the self half lands on inner rows 1:1
+  // The self half of dU lands on inner rows 1:1, then the inner sources'
+  // share of the aggregation gradient is pulled on top.
+  Matrix dinner(adj.n_dst, d_in_);
+  ops::gemm_nt(g_cache_, w_self(), dinner, 1.0f, 1.0f);
   mean_aggregate_backward_inner(*inc_, dz_cache_, inv_deg, dinner);
   return dinner;
 }
@@ -162,30 +139,24 @@ Matrix SageLayer::backward_inner(const BipartiteCsr&,
 void SageLayer::backward_params(const BipartiteCsr&) {
   phase_check_.on_backward_params();
   // Deferred B3: dW/db feed nothing before the epoch-end allreduce, so the
-  // trainer runs this inside the *next* layer's exchange window. u_cache_
-  // and g_cache_ stay untouched until the next forward.
-  ops::gemm_tn(u_cache_, g_cache_, dw_, 1.0f, 1.0f);
-  ops::col_sum(g_cache_, db_);
+  // trainer runs this inside the *next* layer's exchange window. z_,
+  // self_cache_ and g_cache_ stay untouched until the next forward.
+  accumulate_param_grads(g_cache_);
 }
 
 void SageLayer::release_training_state() {
   dw_.resize(0, 0);
   db_.resize(0, 0);
-  u_cache_.resize(0, 0);
-  relu_mask_.resize(0, 0);
-  dropout_mask_.resize(0, 0);
+  act_ = {};
   dz_cache_.resize(0, 0);
-  dself_cache_.resize(0, 0);
   g_cache_.resize(0, 0);
 }
 
-void SageLayer::activation_backward(Matrix& g) const {
-  if (cached_training_ && !dropout_mask_.empty()) {
-    ops::dropout_backward(g, dropout_mask_);
-  }
-  if (opts_.relu) {
-    ops::relu_backward(g, relu_mask_);
-  }
+void SageLayer::accumulate_param_grads(const Matrix& g) {
+  // Accumulated: the trainer zeroes between iterations.
+  ops::gemm_tn(z_, g, row_block(dw_, 0, d_in_), 1.0f, 1.0f);
+  ops::gemm_tn(self_cache_, g, row_block(dw_, d_in_, 2 * d_in_), 1.0f, 1.0f);
+  ops::col_sum(g, db_);
 }
 
 void SageLayer::backward_params_only(const BipartiteCsr& adj,
@@ -193,35 +164,24 @@ void SageLayer::backward_params_only(const BipartiteCsr& adj,
                                      std::span<const float>) {
   BNSGCN_CHECK(dout.rows() == adj.n_dst && dout.cols() == d_out_);
   Matrix g = dout;
-  activation_backward(g);
-  ops::gemm_tn(u_cache_, g, dw_, 1.0f, 1.0f);
-  ops::col_sum(g, db_);
+  ops::activation_backward(g, act_);
+  accumulate_param_grads(g);
 }
 
 Matrix SageLayer::backward(const BipartiteCsr& adj, const Matrix& dout,
                            std::span<const float> inv_deg) {
   BNSGCN_CHECK(dout.rows() == adj.n_dst && dout.cols() == d_out_);
   Matrix g = dout; // own a mutable copy of the incoming gradient
-  activation_backward(g);
+  ops::activation_backward(g, act_);
+  accumulate_param_grads(g);
 
-  // Parameter gradients (accumulated: trainer zeroes between iterations).
-  ops::gemm_tn(u_cache_, g, dw_, 1.0f, 1.0f);
-  ops::col_sum(g, db_);
-
-  // dU = g · Wᵀ, split into the aggregation half and the self half.
-  Matrix du(adj.n_dst, 2 * d_in_);
-  ops::gemm_nt(g, w_, du);
-  Matrix dz;
-  Matrix dself;
-  ops::split_cols(du, dz, dself, d_in_);
-
+  // dU = g · Wᵀ, one row half of W at a time: the aggregation half into
+  // dz, the self half straight onto the inner rows of dfeats (both onto
+  // zeros, the beta = 0 start).
+  Matrix dz(adj.n_dst, d_in_);
+  ops::gemm_nt(g, w_agg(), dz, 1.0f, 1.0f);
   Matrix dfeats(adj.n_src, d_in_);
-  // Self contribution: inner rows only.
-  for (NodeId v = 0; v < adj.n_dst; ++v) {
-    float* t = dfeats.data() + static_cast<std::int64_t>(v) * d_in_;
-    const float* s = dself.data() + static_cast<std::int64_t>(v) * d_in_;
-    for (std::int64_t c = 0; c < d_in_; ++c) t[c] += s[c];
-  }
+  ops::gemm_nt(g, w_self(), row_block(dfeats, 0, adj.n_dst), 1.0f, 1.0f);
   mean_aggregate_backward(adj, dz, inv_deg, dfeats);
   return dfeats;
 }

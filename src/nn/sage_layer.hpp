@@ -1,6 +1,7 @@
 #pragma once
 
 #include "nn/layer.hpp"
+#include "tensor/ops.hpp"
 
 namespace bnsgcn::nn {
 
@@ -8,7 +9,11 @@ namespace bnsgcn::nn {
 ///   z_v = mean_{u in N(v)} h_u                      (Eq. 1)
 ///   h'_v = act(W · concat(z_v, h_v) + b)            (Eq. 2)
 /// Optional ReLU and inverted dropout on the output (hidden layers); the
-/// final layer emits raw logits.
+/// final layer emits raw logits. The concatenation is never built: z and
+/// h_self stay separate blocks, and every GEMM runs against one row half
+/// of W (or of dW) in place. Each element keeps the term order of the
+/// stacked GEMM, so the bits are those of the concatenated layout
+/// (docs/ARCHITECTURE.md §6).
 class SageLayer final : public Layer {
  public:
   struct Options {
@@ -23,8 +28,8 @@ class SageLayer final : public Layer {
                  std::span<const float> inv_deg, bool training) override;
   Matrix backward(const BipartiteCsr& adj, const Matrix& dout,
                   std::span<const float> inv_deg) override;
-  /// Only dW/db: the activation masks, then gemm_tn + col_sum — the fused
-  /// backward's parameter half, without its gemm_nt and scatter.
+  /// Only dW/db: the activation backward, then gemm_tn + col_sum — the
+  /// fused backward's parameter half, without its gemm_nt and scatter.
   void backward_params_only(const BipartiteCsr& adj, const Matrix& dout,
                             std::span<const float> inv_deg) override;
 
@@ -64,36 +69,45 @@ class SageLayer final : public Layer {
   void release_training_state() override;
 
  private:
-  /// g *= the cached dropout and ReLU masks: dout → pre-activation grad.
-  void activation_backward(Matrix& g) const;
+  /// The two d_in-row halves of w_ under the [z | self] input layout:
+  /// u·W = z·W_agg + self·W_self, read in place by the GEMMs.
+  [[nodiscard]] ConstRowBlock w_agg() const { return row_block(w_, 0, d_in_); }
+  [[nodiscard]] ConstRowBlock w_self() const {
+    return row_block(w_, d_in_, 2 * d_in_);
+  }
+  /// dW += [z | self]ᵀ·g, as one gemm_tn per row half of dw_, and db +=
+  /// the column sums of g: the parameter half of every backward.
+  void accumulate_param_grads(const Matrix& g);
+  /// The ReLU/dropout epilogue of a forward output, recorded in act_
+  /// unless serving (which has no backward).
+  void activate(Matrix& out, const Matrix* bias, bool training);
 
   Options opts_;
-  Matrix w_;  // (2*d_in, d_out)
+  Matrix w_;  // (2*d_in, d_out): rows [0, d_in) act on z, the rest on self
   Matrix b_;  // (1, d_out)
-  Matrix dw_;
+  Matrix dw_; // (2*d_in, d_out), the same row halves as w_
   Matrix db_;
   Rng dropout_rng_;
 
-  // Forward caches for backward.
-  Matrix u_cache_;       // (n_dst, 2*d_in) — concat(z, h_self)
-  Matrix relu_mask_;
-  Matrix dropout_mask_;
+  // Forward state; what the backward reads survives until the next forward.
+  Matrix z_;             // (n_dst, d_in): the phased F1's inner sums, then
+                         // the normalized aggregate (dW_agg's input)
+  Matrix self_cache_;    // (n_dst, d_in): the inner feature block (F1's
+                         // self-transform input, dW_self's input)
+  ops::ActivationRecord act_; // what the epilogue applied, 1 byte/element
   bool cached_training_ = false;
 
   // Split-phase scratch (valid between the calls of a phase group).
-  Matrix z_partial_;     // forward: unnormalized inner-source sums
-  Matrix z_halo_;        // forward: folded halo sums — separate from
-                         // z_partial_ so folds may land mid-F1 without
-                         // perturbing the per-row order; combined at finish
+  Matrix z_halo_;        // forward: folded halo sums — separate from z_ so
+                         // folds may land mid-F1 without perturbing the
+                         // per-row order; combined at finish
   const SourceIncidence* inc_ = nullptr; // trainer-owned, set per epoch by
                                          // forward_halo_begin; the folds
                                          // and the phased backward read it
-  Matrix self_cache_;    // forward: the inner feature block
   Matrix out_partial_;   // forward: self·W_self + b, built in phase F1
-  Matrix w_half_;        // staging copy of one d_in-row half of w_
-  Matrix dz_cache_;      // backward: aggregation-half gradient
-  Matrix dself_cache_;   // backward: self-half gradient
-  Matrix g_cache_;       // backward: post-activation gradient (for dw/db)
+  Matrix dz_cache_;      // backward: aggregation-half gradient, g·W_aggᵀ
+  Matrix g_cache_;       // backward: pre-activation gradient (for dW/db
+                         // and B2's self half g·W_selfᵀ)
 };
 
 } // namespace bnsgcn::nn

@@ -193,13 +193,14 @@ template <bool kDot>
 }
 
 // The GEMMs over a given panel: shape checks, beta, B packing and
-// the kBlockM row split. ops::gemm_* call them with the dispatched panel.
-void gemm_nn_rows_with(PanelFn panel, const Matrix& a, const Matrix& b,
-                       Matrix& c, std::int64_t r0, std::int64_t r1,
+// the kBlockM row split. Every operand is a row-block view, whose stride
+// becomes the Spec's leading dimension. ops::gemm_* call them with the dispatched panel.
+void gemm_nn_rows_with(PanelFn panel, ConstRowBlock a, ConstRowBlock b,
+                       RowBlock c, std::int64_t r0, std::int64_t r1,
                        float alpha, float beta);
-void gemm_tn_with(PanelFn panel, const Matrix& a, const Matrix& b, Matrix& c,
+void gemm_tn_with(PanelFn panel, ConstRowBlock a, ConstRowBlock b, RowBlock c,
                   float alpha, float beta);
-void gemm_nt_with(PanelFn panel, const Matrix& a, const Matrix& b, Matrix& c,
+void gemm_nt_with(PanelFn panel, ConstRowBlock a, ConstRowBlock b, RowBlock c,
                   float alpha, float beta);
 
 } // namespace bnsgcn::ops::detail

@@ -80,4 +80,51 @@ class Matrix {
   std::vector<float> data_;
 };
 
+/// A rows × cols row-major block of floats inside a buffer it does not
+/// own: row r starts at data + r * stride (stride >= cols). A Matrix
+/// converts implicitly to the view of all of itself, and row_block() names
+/// a row range of one, so the GEMMs (tensor/ops.hpp) can read and write
+/// the row halves of a stacked weight, or the top rows of a gradient
+/// block, in place. The viewed buffer must outlive the view.
+struct ConstRowBlock {
+  ConstRowBlock(const float* d, std::int64_t r, std::int64_t c,
+                std::int64_t s)
+      : data(d), rows(r), cols(c), stride(s) {}
+  ConstRowBlock(const Matrix& m) // NOLINT(google-explicit-constructor)
+      : ConstRowBlock(m.data(), m.rows(), m.cols(), m.cols()) {}
+
+  const float* data;
+  std::int64_t rows;
+  std::int64_t cols;
+  std::int64_t stride;
+};
+
+/// The writable form of ConstRowBlock.
+struct RowBlock {
+  RowBlock(float* d, std::int64_t r, std::int64_t c, std::int64_t s)
+      : data(d), rows(r), cols(c), stride(s) {}
+  RowBlock(Matrix& m) // NOLINT(google-explicit-constructor)
+      : RowBlock(m.data(), m.rows(), m.cols(), m.cols()) {}
+  operator ConstRowBlock() const { // NOLINT(google-explicit-constructor)
+    return {data, rows, cols, stride};
+  }
+
+  float* data;
+  std::int64_t rows;
+  std::int64_t cols;
+  std::int64_t stride;
+};
+
+/// Rows [r0, r1) of m, all columns.
+[[nodiscard]] inline ConstRowBlock row_block(const Matrix& m, std::int64_t r0,
+                                             std::int64_t r1) {
+  BNSGCN_CHECK(0 <= r0 && r0 <= r1 && r1 <= m.rows());
+  return {m.data() + r0 * m.cols(), r1 - r0, m.cols(), m.cols()};
+}
+[[nodiscard]] inline RowBlock row_block(Matrix& m, std::int64_t r0,
+                                        std::int64_t r1) {
+  BNSGCN_CHECK(0 <= r0 && r0 <= r1 && r1 <= m.rows());
+  return {m.data() + r0 * m.cols(), r1 - r0, m.cols(), m.cols()};
+}
+
 } // namespace bnsgcn

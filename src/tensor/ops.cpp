@@ -1,7 +1,9 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -40,26 +42,31 @@ __attribute__((target("avx512f"))) const char* dispatched_isa() {
   return "avx512f";
 }
 
-// beta * C over rows [r0, r1) of a row-major C with ldc columns.
-void scale_rows(float* pc, std::int64_t ldc, std::int64_t r0, std::int64_t r1,
-                float beta) {
-  if (beta == 0.0f) {
-    std::fill(pc + r0 * ldc, pc + r1 * ldc, 0.0f);
-  } else if (beta != 1.0f) {
-    for (std::int64_t t = r0 * ldc; t < r1 * ldc; ++t) pc[t] *= beta;
+// beta * C over rows [r0, r1) of C (its columns only, not the stride gap).
+void scale_rows(RowBlock c, std::int64_t r0, std::int64_t r1, float beta) {
+  if (beta == 1.0f) return;
+  for (std::int64_t r = r0; r < r1; ++r) {
+    float* row = c.data + r * c.stride;
+    if (beta == 0.0f) {
+      std::fill(row, row + c.cols, 0.0f);
+    } else {
+      for (std::int64_t j = 0; j < c.cols; ++j) row[j] *= beta;
+    }
   }
 }
 
-// The last, partial kCols panel of a row-major B (steps × n), zero-padded
-// to kCols columns; empty when n is a multiple of kCols.
+// The last, partial kCols panel of a row-major B (steps rows, n columns,
+// row stride ldb), zero-padded to kCols columns; empty when n is a
+// multiple of kCols.
 std::vector<float> pack_tail(const float* pb, std::int64_t steps,
-                             std::int64_t n) {
+                             std::int64_t n, std::int64_t ldb) {
   const std::int64_t j0 = n - n % detail::kCols;
   std::vector<float> tail;
   if (j0 == n) return tail;
   tail.assign(static_cast<std::size_t>(steps * detail::kCols), 0.0f);
   for (std::int64_t t = 0; t < steps; ++t)
-    std::copy(pb + t * n + j0, pb + t * n + n, tail.data() + t * detail::kCols);
+    std::copy(pb + t * ldb + j0, pb + t * ldb + n,
+              tail.data() + t * detail::kCols);
   return tail;
 }
 
@@ -73,68 +80,68 @@ void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
   gemm_nn_rows(a, b, c, 0, a.rows(), alpha, beta);
 }
 
-void gemm_nn_rows(const Matrix& a, const Matrix& b, Matrix& c,
+void gemm_nn_rows(ConstRowBlock a, ConstRowBlock b, RowBlock c,
                   std::int64_t r0, std::int64_t r1, float alpha, float beta) {
   detail::gemm_nn_rows_with(dispatched_panel, a, b, c, r0, r1, alpha, beta);
 }
 
-void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+void gemm_tn(ConstRowBlock a, ConstRowBlock b, RowBlock c, float alpha,
              float beta) {
   detail::gemm_tn_with(dispatched_panel, a, b, c, alpha, beta);
 }
 
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+void gemm_nt(ConstRowBlock a, ConstRowBlock b, RowBlock c, float alpha,
              float beta) {
   detail::gemm_nt_with(dispatched_panel, a, b, c, alpha, beta);
 }
 
-void detail::gemm_nn_rows_with(PanelFn panel, const Matrix& a,
-                               const Matrix& b, Matrix& c, std::int64_t r0,
+void detail::gemm_nn_rows_with(PanelFn panel, ConstRowBlock a,
+                               ConstRowBlock b, RowBlock c, std::int64_t r0,
                                std::int64_t r1, float alpha, float beta) {
-  const std::int64_t k = a.cols(), n = b.cols();
-  BNSGCN_CHECK(b.rows() == k);
-  BNSGCN_CHECK(c.cols() == n);
-  BNSGCN_CHECK(0 <= r0 && r0 <= r1 && r1 <= a.rows() && r1 <= c.rows());
+  const std::int64_t k = a.cols, n = b.cols;
+  BNSGCN_CHECK(b.rows == k);
+  BNSGCN_CHECK(c.cols == n);
+  BNSGCN_CHECK(0 <= r0 && r0 <= r1 && r1 <= a.rows && r1 <= c.rows);
   // Row i of C: C[i,j] += (alpha*A[i,kk]) * B[kk,j], ascending kk, zero
   // multipliers skipped. That order is per row, so any [r0, r1) slicing
   // gives bit-identical rows to the full call, and the kBlockM row blocks
   // (anchored at r0) are thread-safe lanes owning disjoint rows of C.
-  const std::vector<float> tail = pack_tail(b.data(), k, n);
-  const Spec s{.a = a.data(), .a_row = k, .a_step = 1, .b = b.data(),
-               .ldb = n, .b_tail = tail.data(), .ld_tail = kCols,
-               .c = c.data(), .ldc = n, .n = n, .steps = k, .alpha = alpha,
-               .dot = false};
+  const std::vector<float> tail = pack_tail(b.data, k, n, b.stride);
+  const Spec s{.a = a.data, .a_row = a.stride, .a_step = 1, .b = b.data,
+               .ldb = b.stride, .b_tail = tail.data(), .ld_tail = kCols,
+               .c = c.data, .ldc = c.stride, .n = n, .steps = k,
+               .alpha = alpha, .dot = false};
   common::for_blocks(r1 - r0, kBlockM, [&](std::int64_t b0, std::int64_t b1) {
-    scale_rows(c.data(), n, r0 + b0, r0 + b1, beta);
+    scale_rows(c, r0 + b0, r0 + b1, beta);
     panel(s, r0 + b0, r0 + b1);
   });
 }
 
-void detail::gemm_tn_with(PanelFn panel, const Matrix& a, const Matrix& b,
-                          Matrix& c, float alpha, float beta) {
-  const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  BNSGCN_CHECK(b.rows() == m);
-  BNSGCN_CHECK(c.rows() == k && c.cols() == n);
+void detail::gemm_tn_with(PanelFn panel, ConstRowBlock a, ConstRowBlock b,
+                          RowBlock c, float alpha, float beta) {
+  const std::int64_t m = a.rows, k = a.cols, n = b.cols;
+  BNSGCN_CHECK(b.rows == m);
+  BNSGCN_CHECK(c.rows == k && c.cols == n);
   // C[kk,j] += (alpha*A[i,kk]) * B[i,j]: row kk of C takes its multipliers
   // down column kk of A, ascending i, zero multipliers skipped. Lanes split
   // the kk axis (disjoint rows of C); the i order is per element, so the
   // result is bit-identical for any lane count.
-  const std::vector<float> tail = pack_tail(b.data(), m, n);
-  const Spec s{.a = a.data(), .a_row = 1, .a_step = k, .b = b.data(),
-               .ldb = n, .b_tail = tail.data(), .ld_tail = kCols,
-               .c = c.data(), .ldc = n, .n = n, .steps = m, .alpha = alpha,
-               .dot = false};
+  const std::vector<float> tail = pack_tail(b.data, m, n, b.stride);
+  const Spec s{.a = a.data, .a_row = 1, .a_step = a.stride, .b = b.data,
+               .ldb = b.stride, .b_tail = tail.data(), .ld_tail = kCols,
+               .c = c.data, .ldc = c.stride, .n = n, .steps = m,
+               .alpha = alpha, .dot = false};
   common::for_blocks(k, kBlockM, [&](std::int64_t kk0, std::int64_t kk1) {
-    scale_rows(c.data(), n, kk0, kk1, beta);
+    scale_rows(c, kk0, kk1, beta);
     panel(s, kk0, kk1);
   });
 }
 
-void detail::gemm_nt_with(PanelFn panel, const Matrix& a, const Matrix& b,
-                          Matrix& c, float alpha, float beta) {
-  const std::int64_t m = a.rows(), n = a.cols(), k = b.rows();
-  BNSGCN_CHECK(b.cols() == n);
-  BNSGCN_CHECK(c.rows() == m && c.cols() == k);
+void detail::gemm_nt_with(PanelFn panel, ConstRowBlock a, ConstRowBlock b,
+                          RowBlock c, float alpha, float beta) {
+  const std::int64_t m = a.rows, n = a.cols, k = b.rows;
+  BNSGCN_CHECK(b.cols == n);
+  BNSGCN_CHECK(c.rows == m && c.cols == k);
   // C[i,j] += alpha * dot(A.row(i), B.row(j)), each dot from 0.0f in
   // ascending t with no skip. B (the small weight matrix) is transposed
   // once, zero-padded to whole kCols panels, so the dots of one C row run
@@ -142,15 +149,15 @@ void detail::gemm_nt_with(PanelFn panel, const Matrix& a, const Matrix& b,
   // bit-stable.
   const std::int64_t ldt = (k + kCols - 1) / kCols * kCols;
   std::vector<float> bt(static_cast<std::size_t>(n * ldt), 0.0f);
-  const float* pb = b.data();
   for (std::int64_t j = 0; j < k; ++j)
-    for (std::int64_t t = 0; t < n; ++t) bt[t * ldt + j] = pb[j * n + t];
-  const Spec s{.a = a.data(), .a_row = n, .a_step = 1, .b = bt.data(),
+    for (std::int64_t t = 0; t < n; ++t)
+      bt[t * ldt + j] = b.data[j * b.stride + t];
+  const Spec s{.a = a.data, .a_row = a.stride, .a_step = 1, .b = bt.data(),
                .ldb = ldt, .b_tail = bt.data() + (k - k % kCols),
-               .ld_tail = ldt, .c = c.data(), .ldc = k, .n = k, .steps = n,
-               .alpha = alpha, .dot = true};
+               .ld_tail = ldt, .c = c.data, .ldc = c.stride, .n = k,
+               .steps = n, .alpha = alpha, .dot = true};
   common::for_blocks(m, kBlockM, [&](std::int64_t i0, std::int64_t i1) {
-    scale_rows(c.data(), k, i0, i1, beta);
+    scale_rows(c, i0, i1, beta);
     panel(s, i0, i1);
   });
 }
@@ -180,10 +187,6 @@ void scale_inplace(Matrix& y, float s) {
   for (std::int64_t i = 0; i < n; ++i) py[i] *= s;
 }
 
-void add_row_bias(Matrix& x, const Matrix& bias) {
-  add_row_bias_rows(x, bias, 0, x.rows());
-}
-
 void add_row_bias_rows(Matrix& x, const Matrix& bias, std::int64_t r0,
                        std::int64_t r1) {
   BNSGCN_CHECK(bias.rows() == 1 && bias.cols() == x.cols());
@@ -207,37 +210,136 @@ void col_sum(const Matrix& grad, Matrix& out) {
   }
 }
 
-void relu_forward(Matrix& x, Matrix& mask) {
-  mask.resize(x.rows(), x.cols());
-  float* __restrict px = x.data();
-  float* __restrict pm = mask.data();
-  const std::int64_t n = x.size();
-  // Selects, not a branch: on random signs a branch mispredicts about half
-  // the time, and the select loop vectorizes. std::max(0.0f, v) is
-  // (0 < v) ? v : 0, spelled so GCC keeps it a select instead of sinking
-  // the unchanged store back into a branch. NaN, -0 and negatives give +0
-  // with mask 0, exactly as the branch did.
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float v = px[i];
-    pm[i] = v > 0.0f ? 1.0f : 0.0f;
-    px[i] = std::max(0.0f, v);
+namespace {
+
+// Calls body(std::true_type{}) or body(std::false_type{}): turns a runtime
+// switch into a template argument, so each epilogue variant is its own
+// straight-line loop.
+template <typename Body>
+void with_flag(bool on, Body&& body) {
+  if (on) {
+    body(std::true_type{});
+  } else {
+    body(std::false_type{});
   }
 }
 
-void relu_backward(Matrix& grad, const Matrix& mask) {
-  BNSGCN_CHECK(grad.size() == mask.size());
-  float* pg = grad.data();
-  const float* pm = mask.data();
-  const std::int64_t n = grad.size();
-  for (std::int64_t i = 0; i < n; ++i) pg[i] *= pm[i];
+// One epilogue variant. The dropout test is on integers: next_float() is
+// u * 2^-24 for the top 24 bits u of next_u64(), exactly, so
+// next_float() < p holds exactly when u < ceil(p * 2^24) = drop_below
+// (p * 2^24 is exact in double). Both ReLU and dropout select by masking
+// the value's bits with an all-ones or all-zeros word, so neither test
+// can become a branch (on random signs and draws one mispredicts a third
+// to a half of the time), and a zeroed element is the +0 the separate
+// passes stored.
+template <bool kBias, bool kRelu, bool kDrop, bool kRecord>
+void epilogue_pass(Matrix& x, const float* pb, std::uint8_t* pf,
+                   std::uint64_t drop_below, float keep_scale, Rng& rng) {
+  Rng r = rng; // a local copy keeps the generator state in registers
+  float* __restrict px = x.data();
+  const std::int64_t rows = x.rows(), cols = x.cols();
+  // The draws are one serial chain; everything else vectorizes. So each
+  // span of a row first draws its keep words into `kept` (scalar), then
+  // applies bias, ReLU and dropout over the span (vectors) while the span
+  // is still in L1.
+  constexpr std::int64_t kSpan = 256;
+  alignas(64) std::uint32_t kept[kSpan];
+  for (std::int64_t i = 0; i < rows; ++i) {
+    // lint: allow(float-accum) — integer span stride, not a reduction
+    for (std::int64_t c0 = 0; c0 < cols; c0 += kSpan) {
+      const std::int64_t w = std::min(kSpan, cols - c0);
+      if constexpr (kDrop) {
+        for (std::int64_t c = 0; c < w; ++c)
+          kept[c] = 0u - static_cast<std::uint32_t>((r.next_u64() >> 40) >=
+                                                    drop_below);
+      }
+      float* __restrict xs = px + i * cols + c0;
+      std::uint8_t* __restrict fs = kRecord ? pf + i * cols + c0 : nullptr;
+      for (std::int64_t c = 0; c < w; ++c) {
+        float v = xs[c];
+        if constexpr (kBias) v = v + pb[c0 + c]; // lint: allow(float-accum) — one bias term per element
+        std::uint32_t f = 0;
+        if constexpr (kRelu) {
+          // max(0, v) as a mask: v where v > 0, else the bits of +0.
+          const std::uint32_t on = 0u - static_cast<std::uint32_t>(v > 0.0f);
+          f = on & ActivationRecord::kReluOn;
+          v = std::bit_cast<float>(std::bit_cast<std::uint32_t>(v) & on);
+        }
+        if constexpr (kDrop) {
+          f |= kept[c] & ActivationRecord::kKept;
+          v = std::bit_cast<float>(
+              std::bit_cast<std::uint32_t>(v * keep_scale) & kept[c]);
+        }
+        xs[c] = v;
+        if constexpr (kRecord) fs[c] = static_cast<std::uint8_t>(f);
+      }
+    }
+  }
+  rng = r;
 }
 
-void relu_forward(Matrix& x) {
-  float* px = x.data();
-  const std::int64_t n = x.size();
-  // Branchless like the masked overload. The test is x <= 0 rather than
-  // x > 0, so a NaN passes through unchanged, as it always has here.
-  for (std::int64_t i = 0; i < n; ++i) px[i] = px[i] <= 0.0f ? 0.0f : px[i];
+template <bool kDrop, bool kRelu>
+void epilogue_backward_pass(Matrix& g, const std::uint8_t* pf,
+                            float keep_scale) {
+  const std::uint32_t scale_bits = std::bit_cast<std::uint32_t>(keep_scale);
+  const std::uint32_t one_bits = std::bit_cast<std::uint32_t>(1.0f);
+  float* __restrict pg = g.data();
+  const std::int64_t n = g.size();
+  for (std::int64_t t = 0; t < n; ++t) {
+    const std::uint32_t f = pf[t];
+    float v = pg[t];
+    if constexpr (kDrop)
+      v = v * std::bit_cast<float>(scale_bits & (0u - ((f >> 1) & 1u)));
+    if constexpr (kRelu)
+      v = v * std::bit_cast<float>(one_bits & (0u - (f & 1u)));
+    pg[t] = v;
+  }
+}
+
+} // namespace
+
+void activation_forward(Matrix& x, const Matrix* bias, bool relu, float p,
+                        Rng& rng, ActivationRecord* rec) {
+  BNSGCN_CHECK(p >= 0.0f && p < 1.0f);
+  if (bias != nullptr)
+    BNSGCN_CHECK(bias->rows() == 1 && bias->cols() == x.cols());
+  const bool drop = p > 0.0f;
+  const float keep_scale = drop ? 1.0f / (1.0f - p) : 0.0f;
+  const auto drop_below =
+      static_cast<std::uint64_t>(std::ceil(static_cast<double>(p) * 0x1.0p24));
+  const bool record = rec != nullptr && (relu || drop);
+  if (rec != nullptr) {
+    rec->relu = relu;
+    rec->keep_scale = keep_scale;
+    rec->flags.resize(record ? static_cast<std::size_t>(x.size()) : 0);
+  }
+  std::uint8_t* pf = record ? rec->flags.data() : nullptr;
+  const float* pb = bias != nullptr ? bias->data() : nullptr;
+  with_flag(pb != nullptr, [&](auto kBias) {
+    with_flag(relu, [&](auto kRelu) {
+      with_flag(drop, [&](auto kDrop) {
+        with_flag(record, [&](auto kRecord) {
+          epilogue_pass<decltype(kBias)::value, decltype(kRelu)::value,
+                        decltype(kDrop)::value, decltype(kRecord)::value>(
+              x, pb, pf, drop_below, keep_scale, rng);
+        });
+      });
+    });
+  });
+}
+
+void activation_backward(Matrix& g, const ActivationRecord& rec) {
+  const bool drop = rec.keep_scale != 0.0f;
+  if (!drop && !rec.relu) return;
+  BNSGCN_CHECK(static_cast<std::int64_t>(rec.flags.size()) == g.size());
+  const std::uint8_t* pf = rec.flags.data();
+  if (drop && rec.relu) {
+    epilogue_backward_pass<true, true>(g, pf, rec.keep_scale);
+  } else if (drop) {
+    epilogue_backward_pass<true, false>(g, pf, rec.keep_scale);
+  } else {
+    epilogue_backward_pass<false, true>(g, pf, rec.keep_scale);
+  }
 }
 
 void leaky_relu_forward(Matrix& x, Matrix& mask, float slope) {
@@ -256,33 +358,11 @@ void leaky_relu_forward(Matrix& x, Matrix& mask, float slope) {
 }
 
 void leaky_relu_backward(Matrix& grad, const Matrix& mask) {
-  relu_backward(grad, mask); // same elementwise multiply
-}
-
-void dropout_forward(Matrix& x, Matrix& mask, float p, Rng& rng) {
-  BNSGCN_CHECK(p >= 0.0f && p < 1.0f);
-  mask.resize(x.rows(), x.cols());
-  if (p == 0.0f) {
-    mask.fill(1.0f);
-    return;
-  }
-  const float keep_scale = 1.0f / (1.0f - p);
-  float* px = x.data();
-  float* pm = mask.data();
-  const std::int64_t n = x.size();
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (rng.next_float() < p) {
-      px[i] = 0.0f;
-      pm[i] = 0.0f;
-    } else {
-      px[i] *= keep_scale;
-      pm[i] = keep_scale;
-    }
-  }
-}
-
-void dropout_backward(Matrix& grad, const Matrix& mask) {
-  relu_backward(grad, mask); // elementwise multiply by stored multiplier
+  BNSGCN_CHECK(grad.size() == mask.size());
+  float* pg = grad.data();
+  const float* pm = mask.data();
+  const std::int64_t n = grad.size();
+  for (std::int64_t i = 0; i < n; ++i) pg[i] *= pm[i];
 }
 
 void softmax_rows(Matrix& x) {
@@ -333,30 +413,6 @@ void scatter_add_rows(const Matrix& src, std::span<const NodeId> idx,
       for (std::int64_t c = c0; c < c1; ++c) t[c] += s[c];
     }
   });
-}
-
-void concat_cols(const Matrix& a, const Matrix& b, Matrix& out) {
-  BNSGCN_CHECK(a.rows() == b.rows());
-  out.resize(a.rows(), a.cols() + b.cols());
-  for (std::int64_t r = 0; r < a.rows(); ++r) {
-    float* o = out.data() + r * out.cols();
-    const float* pa = a.data() + r * a.cols();
-    const float* pb = b.data() + r * b.cols();
-    std::copy(pa, pa + a.cols(), o);
-    std::copy(pb, pb + b.cols(), o + a.cols());
-  }
-}
-
-void split_cols(const Matrix& out, Matrix& a, Matrix& b, std::int64_t a_cols) {
-  BNSGCN_CHECK(a_cols >= 0 && a_cols <= out.cols());
-  const std::int64_t b_cols = out.cols() - a_cols;
-  a.resize(out.rows(), a_cols);
-  b.resize(out.rows(), b_cols);
-  for (std::int64_t r = 0; r < out.rows(); ++r) {
-    const float* o = out.data() + r * out.cols();
-    std::copy(o, o + a_cols, a.data() + r * a_cols);
-    std::copy(o + a_cols, o + out.cols(), b.data() + r * b_cols);
-  }
 }
 
 void glorot_init(Matrix& w, Rng& rng) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -34,16 +35,22 @@ void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
 /// or written, so chunked callers need no staging copies. Per-row results
 /// are bit-identical to gemm_nn over the full shape: the k-accumulation
 /// order is independent of the row blocking.
-void gemm_nn_rows(const Matrix& a, const Matrix& b, Matrix& c,
+///
+/// This and the two GEMMs below take row-block views (tensor/matrix.hpp):
+/// a Matrix passes as itself, and row_block() addresses a row range of one
+/// in place. Splitting the contraction into row blocks of B (gemm_nn) or
+/// the output into row blocks (gemm_tn, gemm_nt) gives the same bits as
+/// the stacked call, because every element keeps its term order.
+void gemm_nn_rows(ConstRowBlock a, ConstRowBlock b, RowBlock c,
                   std::int64_t r0, std::int64_t r1, float alpha = 1.0f,
                   float beta = 0.0f);
 
 /// C[k,n] = alpha * A[m,k]^T * B[m,n] + beta * C   (weight gradients)
-void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
+void gemm_tn(ConstRowBlock a, ConstRowBlock b, RowBlock c, float alpha = 1.0f,
              float beta = 0.0f);
 
 /// C[m,k] = alpha * A[m,n] * B[k,n]^T + beta * C   (input gradients)
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
+void gemm_nt(ConstRowBlock a, ConstRowBlock b, RowBlock c, float alpha = 1.0f,
              float beta = 0.0f);
 
 // ---------------------------------------------------------------------------
@@ -58,36 +65,49 @@ void axpy(float a, const Matrix& x, Matrix& y);
 
 void scale_inplace(Matrix& y, float s);
 
-/// out[r,:] = x[r,:] + bias[0,:] for every row.
-void add_row_bias(Matrix& x, const Matrix& bias);
-
-/// add_row_bias over rows [r0, r1) only (chunked-stream companion of
-/// gemm_nn_rows).
+/// x[r,:] += bias[0,:] for rows r in [r0, r1) only (the chunked companion
+/// of gemm_nn_rows; a whole output gets its bias from activation_forward).
 void add_row_bias_rows(Matrix& x, const Matrix& bias, std::int64_t r0,
                        std::int64_t r1);
 
 /// bias_grad[0,:] += column sums of grad.
 void col_sum(const Matrix& grad, Matrix& out);
 
-/// ReLU forward in place; mask receives 1/0 for backward.
-void relu_forward(Matrix& x, Matrix& mask);
+/// What one activation_forward call applied, with one flag byte per
+/// element for activation_backward: kReluOn where the pre-activation was
+/// > 0, kKept where dropout kept the element.
+struct ActivationRecord {
+  static constexpr std::uint8_t kReluOn = 1;
+  static constexpr std::uint8_t kKept = 2;
+  bool relu = false;
+  float keep_scale = 0.0f; // dropout's 1/(1-p); 0 when dropout did not run
+  std::vector<std::uint8_t> flags; // empty when neither stage ran
+};
 
-/// Maskless ReLU for forward-only (inference) passes: identical outputs,
-/// no backward mask allocated.
-void relu_forward(Matrix& x);
+/// The fused activation epilogue of a layer's output, one branch-free pass
+/// over x in row-major order:
+///   v = x[r,c] + bias[0,c]     (bias null: the caller already added it)
+///   v = relu ? max(0, v) : v   (-0, negatives and NaN give +0)
+///   v = dropped ? +0 : v * (1/(1-p))       (only when p > 0)
+/// An element is dropped when rng.next_float() < p: one draw per element,
+/// none at all when p == 0. `rec`, when non-null, receives what ran, for
+/// activation_backward; forward-only callers pass null. Bit-identical to a
+/// bias add, a ReLU pass and an inverted-dropout pass run one after another
+/// (docs/ARCHITECTURE.md §6, "Activation epilogue").
+void activation_forward(Matrix& x, const Matrix* bias, bool relu, float p,
+                        Rng& rng, ActivationRecord* rec);
 
-/// grad *= mask (backward through ReLU).
-void relu_backward(Matrix& grad, const Matrix& mask);
+/// Backward of activation_forward, in place, one pass:
+///   g = (g * (kept ? 1/(1-p) : 0)) * (relu_on ? 1 : 0)
+/// each factor applied only where its stage ran. These are the multiplies
+/// of separate dropout and ReLU backward passes, so ±0, inf and NaN in g
+/// propagate exactly as through those.
+void activation_backward(Matrix& g, const ActivationRecord& rec);
 
 /// LeakyReLU with slope (GAT attention) — returns activated copy semantics
 /// via in-place transform; mask stores the effective slope per element.
 void leaky_relu_forward(Matrix& x, Matrix& mask, float slope);
 void leaky_relu_backward(Matrix& grad, const Matrix& mask);
-
-/// Inverted dropout: zero with prob p, scale kept values by 1/(1-p).
-/// mask holds the applied multiplier so backward is grad *= mask.
-void dropout_forward(Matrix& x, Matrix& mask, float p, Rng& rng);
-void dropout_backward(Matrix& grad, const Matrix& mask);
 
 /// Numerically stable row-wise softmax (in place).
 void softmax_rows(Matrix& x);
@@ -102,12 +122,6 @@ void gather_rows(const Matrix& src, std::span<const NodeId> idx, Matrix& out);
 /// dst[idx[i],:] += src[i,:]
 void scatter_add_rows(const Matrix& src, std::span<const NodeId> idx,
                       Matrix& dst);
-
-/// Concatenate columns: out = [a | b].
-void concat_cols(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// Split columns (backward of concat): a = out[:, :a_cols], b = rest.
-void split_cols(const Matrix& out, Matrix& a, Matrix& b, std::int64_t a_cols);
 
 // ---------------------------------------------------------------------------
 // Init / comparison helpers.

@@ -711,5 +711,267 @@ TEST(AggregateOracle, SourceIncidenceIsTheTransposeInScatterOrder) {
   EXPECT_TRUE(plain.scales.empty());
 }
 
+
+// ---------------------------------------------------------------------------
+// SAGE layer oracle: the layer keeps z and the self block apart and runs
+// every GEMM against a row half of W (or dW) in place, with the fused
+// activation epilogue. The reference below is the concat/split layout it
+// replaced — u = [z | self] assembled, the stacked GEMMs, dU split after —
+// with the bias, ReLU and dropout passes and their mask multiplies.
+// ---------------------------------------------------------------------------
+
+Matrix ref_concat(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), a.cols() + b.cols());
+  for (std::int64_t r = 0; r < a.rows(); ++r) {
+    float* o = out.data() + r * out.cols();
+    std::copy(a.row(r).begin(), a.row(r).end(), o);
+    std::copy(b.row(r).begin(), b.row(r).end(), o + a.cols());
+  }
+  return out;
+}
+
+void ref_split(const Matrix& u, std::int64_t a_cols, Matrix& a, Matrix& b) {
+  a.resize(u.rows(), a_cols);
+  b.resize(u.rows(), u.cols() - a_cols);
+  for (std::int64_t r = 0; r < u.rows(); ++r) {
+    const float* o = u.data() + r * u.cols();
+    std::copy(o, o + a_cols, a.data() + r * a_cols);
+    std::copy(o + a_cols, o + u.cols(), b.data() + r * b.cols());
+  }
+}
+
+Matrix ref_rows(const Matrix& m, std::int64_t r0, std::int64_t r1) {
+  Matrix out(r1 - r0, m.cols());
+  std::copy(m.data() + r0 * m.cols(), m.data() + r1 * m.cols(), out.data());
+  return out;
+}
+
+/// ReLU then inverted dropout, as separate passes with float masks; the
+/// backward multiplies by the dropout mask, then the ReLU mask.
+struct RefActivation {
+  RefActivation(bool relu_on, float rate) : relu(relu_on), p(rate) {}
+
+  bool relu;
+  float p;
+  Matrix relu_mask, drop_mask;
+
+  void forward(Matrix& x, Rng& rng) {
+    if (relu) {
+      relu_mask.resize(x.rows(), x.cols());
+      for (std::int64_t i = 0; i < x.size(); ++i) {
+        const float v = x.data()[i];
+        relu_mask.data()[i] = v > 0.0f ? 1.0f : 0.0f;
+        x.data()[i] = std::max(0.0f, v);
+      }
+    }
+    if (p > 0.0f) {
+      drop_mask.resize(x.rows(), x.cols());
+      const float keep_scale = 1.0f / (1.0f - p);
+      for (std::int64_t i = 0; i < x.size(); ++i) {
+        const bool drop = rng.next_float() < p;
+        x.data()[i] = drop ? 0.0f : x.data()[i] * keep_scale;
+        drop_mask.data()[i] = drop ? 0.0f : keep_scale;
+      }
+    }
+  }
+  void backward(Matrix& g) const {
+    if (p > 0.0f)
+      for (std::int64_t i = 0; i < g.size(); ++i)
+        g.data()[i] *= drop_mask.data()[i];
+    if (relu)
+      for (std::int64_t i = 0; i < g.size(); ++i)
+        g.data()[i] *= relu_mask.data()[i];
+  }
+};
+
+struct SageCase {
+  std::int64_t d_in, d_out;
+  bool relu;
+  float p;
+};
+constexpr SageCase kSageCases[] = {
+    {17, 16, true, 0.3f}, {64, 65, true, 0.5f}, {33, 64, false, 0.0f},
+    {65, 17, true, 0.0f}, {16, 41, false, 0.1f}};
+
+/// A layer whose weights, bias and (accumulating) gradients are all salted,
+/// so special values reach every GEMM.
+struct SageFixture {
+  nn::SageLayer layer;
+  Matrix w, b, dw0, db0;
+
+  SageFixture(const SageCase& c, Rng& rng)
+      : layer(c.d_in, c.d_out, {.relu = c.relu, .dropout = c.p}, rng) {
+    w = agg_salted(2 * c.d_in, c.d_out, rng);
+    b = agg_salted(1, c.d_out, rng);
+    dw0 = agg_salted(2 * c.d_in, c.d_out, rng);
+    db0 = agg_salted(1, c.d_out, rng);
+    reset();
+  }
+  void reset() {
+    *layer.params()[0] = w;
+    *layer.params()[1] = b;
+    *layer.grads()[0] = dw0;
+    *layer.grads()[1] = db0;
+    layer.set_dropout_rng(Rng(77));
+  }
+};
+
+std::string sage_case_name(const SageCase& c, int threads) {
+  return "d_in=" + std::to_string(c.d_in) + " d_out=" +
+         std::to_string(c.d_out) + " relu=" + std::to_string(c.relu) +
+         " p=" + std::to_string(c.p) + ", " + std::to_string(threads) +
+         " threads";
+}
+
+TEST(SageOracle, FusedForwardBackwardMatchesConcatSplitReference) {
+  for (const bool weighted : {false, true}) {
+    Rng rng(weighted ? 61 : 60);
+    const BipartiteCsr adj = oracle_adj(rng, weighted);
+    const std::vector<float> inv = oracle_inv_deg(adj);
+    for (const SageCase& c : kSageCases) {
+      SageFixture fx(c, rng);
+      const Matrix feats = agg_salted(adj.n_src, c.d_in, rng);
+      const Matrix dout = agg_salted(adj.n_dst, c.d_out, rng);
+
+      // Reference, at one thread.
+      common::set_ops_threads(1);
+      Matrix z;
+      nn::mean_aggregate(adj, feats, inv, z);
+      const Matrix u = ref_concat(z, ref_rows(feats, 0, adj.n_dst));
+      Matrix want(adj.n_dst, c.d_out);
+      ops::gemm_nn(u, fx.w, want);
+      ops::add_row_bias_rows(want, fx.b, 0, adj.n_dst);
+      RefActivation act(c.relu, c.p);
+      Rng ref_rng(77);
+      act.forward(want, ref_rng);
+      Matrix g = dout;
+      act.backward(g);
+      Matrix want_dw = fx.dw0, want_db = fx.db0;
+      ops::gemm_tn(u, g, want_dw, 1.0f, 1.0f);
+      ops::col_sum(g, want_db);
+      Matrix du(adj.n_dst, 2 * c.d_in), dz, dself;
+      ops::gemm_nt(g, fx.w, du);
+      ref_split(du, c.d_in, dz, dself);
+      Matrix want_dfeats(adj.n_src, c.d_in);
+      for (std::int64_t i = 0; i < dself.size(); ++i)
+        want_dfeats.data()[i] += dself.data()[i];
+      nn::mean_aggregate_backward(adj, dz, inv, want_dfeats);
+
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(sage_case_name(c, threads) +
+                     (weighted ? " weighted" : " unweighted"));
+        common::set_ops_threads(threads);
+        fx.reset();
+        const Matrix out = fx.layer.forward(adj, feats, inv, true);
+        EXPECT_TRUE(same_bytes(out, want)) << "forward";
+        const Matrix dfeats = fx.layer.backward(adj, dout, inv);
+        EXPECT_TRUE(same_bytes(dfeats, want_dfeats)) << "dfeats";
+        EXPECT_TRUE(same_bytes(*fx.layer.grads()[0], want_dw)) << "dW";
+        EXPECT_TRUE(same_bytes(*fx.layer.grads()[1], want_db)) << "db";
+
+        // The parameter-only backward gives the same dW/db.
+        fx.reset();
+        (void)fx.layer.forward(adj, feats, inv, true);
+        fx.layer.backward_params_only(adj, dout, inv);
+        EXPECT_TRUE(same_bytes(*fx.layer.grads()[0], want_dw))
+            << "dW, params only";
+        EXPECT_TRUE(same_bytes(*fx.layer.grads()[1], want_db))
+            << "db, params only";
+      }
+      common::set_ops_threads(1);
+    }
+  }
+}
+
+TEST(SageOracle, PhasedForwardBackwardMatchesConcatSplitReference) {
+  for (const bool weighted : {false, true}) {
+    Rng rng(weighted ? 63 : 62);
+    const BipartiteCsr adj = oracle_adj(rng, weighted);
+    const std::vector<float> inv = oracle_inv_deg(adj);
+    nn::SourceIncidence inc;
+    inc.build(adj, adj.n_dst);
+    const NodeId n_halo = adj.n_src - adj.n_dst;
+    // Two "peers": halo slots split in two slabs, folded in order.
+    std::vector<NodeId> slots(static_cast<std::size_t>(n_halo));
+    for (NodeId s = 0; s < n_halo; ++s) slots[static_cast<std::size_t>(s)] = s;
+    const std::size_t half = slots.size() / 2;
+    for (const SageCase& c : kSageCases) {
+      SageFixture fx(c, rng);
+      const Matrix feats = agg_salted(adj.n_src, c.d_in, rng);
+      const Matrix inner = ref_rows(feats, 0, adj.n_dst);
+      const std::span<const float> halo_rows(
+          feats.data() + adj.n_dst * c.d_in,
+          static_cast<std::size_t>(n_halo * c.d_in));
+      const auto slab = [&](std::size_t s0, std::size_t s1) {
+        return halo_rows.subspan(s0 * static_cast<std::size_t>(c.d_in),
+                                 (s1 - s0) * static_cast<std::size_t>(c.d_in));
+      };
+      const std::span<const NodeId> all_slots(slots);
+      const Matrix dout = agg_salted(adj.n_dst, c.d_out, rng);
+
+      // Reference, at one thread: the phased layer as the concat/split
+      // layout ran it (self half and bias first, the z half at finish).
+      common::set_ops_threads(1);
+      Matrix z(adj.n_dst, c.d_in), z_halo(adj.n_dst, c.d_in);
+      nn::mean_aggregate_inner_rows(adj, inner, 0, adj.n_dst, z);
+      Matrix want(adj.n_dst, c.d_out);
+      ops::gemm_nn_rows(inner, ref_rows(fx.w, c.d_in, 2 * c.d_in), want, 0,
+                        adj.n_dst);
+      ops::add_row_bias_rows(want, fx.b, 0, adj.n_dst);
+      nn::mean_aggregate_halo_fold(inc, all_slots.first(half), slab(0, half),
+                                   c.d_in, z_halo);
+      nn::mean_aggregate_halo_fold(inc, all_slots.subspan(half),
+                                   slab(half, slots.size()), c.d_in, z_halo);
+      for (std::int64_t i = 0; i < z.size(); ++i)
+        z.data()[i] += z_halo.data()[i];
+      nn::mean_aggregate_finish(inv, z);
+      ops::gemm_nn(z, ref_rows(fx.w, 0, c.d_in), want, 1.0f, 1.0f);
+      const Matrix u = ref_concat(z, inner);
+      RefActivation act(c.relu, c.p);
+      Rng ref_rng(77);
+      act.forward(want, ref_rng);
+      Matrix g = dout;
+      act.backward(g);
+      Matrix du(adj.n_dst, 2 * c.d_in), dz, dself;
+      ops::gemm_nt(g, fx.w, du);
+      ref_split(du, c.d_in, dz, dself);
+      Matrix want_dhalo(n_halo, c.d_in);
+      nn::mean_aggregate_backward_halo(inc, dz, inv, want_dhalo);
+      Matrix want_dinner = dself;
+      nn::mean_aggregate_backward_inner(inc, dz, inv, want_dinner);
+      Matrix want_dw = fx.dw0, want_db = fx.db0;
+      ops::gemm_tn(u, g, want_dw, 1.0f, 1.0f);
+      ops::col_sum(g, want_db);
+
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(sage_case_name(c, threads) +
+                     (weighted ? " weighted" : " unweighted"));
+        common::set_ops_threads(threads);
+        fx.reset();
+        nn::Layer& layer = fx.layer;
+        // Chunks and folds interleave, as under the stream schedule.
+        layer.forward_inner_begin(adj, inner, true);
+        layer.forward_halo_begin(adj, inc);
+        layer.forward_inner_chunk(adj, 0, 23);
+        layer.forward_halo_fold(adj, all_slots.first(half), slab(0, half));
+        layer.forward_inner_chunk(adj, 23, 24);
+        layer.forward_inner_chunk(adj, 24, adj.n_dst);
+        layer.forward_halo_fold(adj, all_slots.subspan(half),
+                                slab(half, slots.size()));
+        const Matrix out = layer.forward_halo_finish(adj, inv);
+        EXPECT_TRUE(same_bytes(out, want)) << "forward";
+        const Matrix dhalo = layer.backward_halo(adj, dout, inv);
+        EXPECT_TRUE(same_bytes(dhalo, want_dhalo)) << "dhalo";
+        const Matrix dinner = layer.backward_inner(adj, inv);
+        EXPECT_TRUE(same_bytes(dinner, want_dinner)) << "dinner";
+        layer.backward_params(adj);
+        EXPECT_TRUE(same_bytes(*layer.grads()[0], want_dw)) << "dW";
+        EXPECT_TRUE(same_bytes(*layer.grads()[1], want_db)) << "db";
+      }
+      common::set_ops_threads(1);
+    }
+  }
+}
+
 } // namespace
 } // namespace bnsgcn

@@ -159,7 +159,7 @@ TEST(Ops, AddAndAxpy) {
 TEST(Ops, AddRowBias) {
   Matrix x{{1, 1}, {2, 2}};
   Matrix b{{10, 20}};
-  ops::add_row_bias(x, b);
+  ops::add_row_bias_rows(x, b, 0, x.rows());
   EXPECT_FLOAT_EQ(x.at(0, 0), 11.0f);
   EXPECT_FLOAT_EQ(x.at(1, 1), 22.0f);
 }
@@ -172,64 +172,30 @@ TEST(Ops, ColSum) {
   EXPECT_FLOAT_EQ(out.at(0, 1), 12.0f);
 }
 
-TEST(Ops, ReluForwardBackward) {
+TEST(Ops, ActivationReluForwardBackward) {
   Matrix x{{-1, 2}, {3, -4}};
-  Matrix mask;
-  ops::relu_forward(x, mask);
+  Rng rng(1);
+  ops::ActivationRecord rec;
+  ops::activation_forward(x, nullptr, /*relu=*/true, 0.0f, rng, &rec);
   EXPECT_FLOAT_EQ(x.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(x.at(0, 1), 2.0f);
   Matrix g{{5, 5}, {5, 5}};
-  ops::relu_backward(g, mask);
+  ops::activation_backward(g, rec);
   EXPECT_FLOAT_EQ(g.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(g.at(0, 1), 5.0f);
   EXPECT_FLOAT_EQ(g.at(1, 0), 5.0f);
   EXPECT_FLOAT_EQ(g.at(1, 1), 0.0f);
 }
 
-TEST(Ops, ReluMatchesBranchyReferenceBitForBit) {
-  // The special values in every position of a vector-sized run, plus
-  // random signs: ±0, ±inf, NaN and ± subnormals, against the branches the
-  // select loops replaced.
-  const float inf = std::numeric_limits<float>::infinity();
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  const float sub = std::numeric_limits<float>::denorm_min();
-  const float specials[] = {0.0f,  -0.0f, inf,  -inf, nan,
-                            -nan,  sub,   -sub, 1e-39f, -1e-39f,
-                            1.0f,  -1.0f};
-  Rng rng(31);
-  Matrix x(7, 37);
-  x.randomize_gaussian(rng, 1.0f);
-  for (std::int64_t i = 0; i < x.size(); i += 3)
-    x.data()[i] = specials[static_cast<std::size_t>(i / 3) % std::size(specials)];
-
-  Matrix want_x = x, want_m(x.rows(), x.cols());
-  Matrix want_y = x;
-  for (std::int64_t i = 0; i < x.size(); ++i) {
-    float& v = want_x.data()[i];
-    if (v > 0.0f) {
-      want_m.data()[i] = 1.0f;
-    } else {
-      v = 0.0f;
-      want_m.data()[i] = 0.0f;
-    }
-    if (want_y.data()[i] <= 0.0f) want_y.data()[i] = 0.0f;
-  }
-  const auto same = [](const Matrix& a, const Matrix& b) {
-    return std::memcmp(a.data(), b.data(),
-                       static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
-  };
-  Matrix got_x = x, got_m;
-  ops::relu_forward(got_x, got_m);
-  EXPECT_TRUE(same(got_x, want_x));
-  EXPECT_TRUE(same(got_m, want_m));
-  Matrix got_y = x;
-  ops::relu_forward(got_y);
-  EXPECT_TRUE(same(got_y, want_y));
-  // The pinned corners: -0 and NaN give +0 through the masked overload; the
-  // unmasked one passes NaN through.
-  EXPECT_EQ(std::bit_cast<std::uint32_t>(got_x.data()[3]), 0u);  // -0
-  EXPECT_EQ(std::bit_cast<std::uint32_t>(got_x.data()[12]), 0u); // NaN
-  EXPECT_TRUE(std::isnan(got_y.data()[12]));
+TEST(Ops, ActivationAddsTheBiasFirst) {
+  Matrix x{{1, -3}, {-2, 2}};
+  Matrix b{{1, 2}};
+  Rng rng(1);
+  ops::activation_forward(x, &b, /*relu=*/true, 0.0f, rng, nullptr);
+  EXPECT_FLOAT_EQ(x.at(0, 0), 2.0f);
+  EXPECT_FLOAT_EQ(x.at(0, 1), 0.0f); // -3 + 2 < 0
+  EXPECT_FLOAT_EQ(x.at(1, 0), 0.0f); // -2 + 1 < 0
+  EXPECT_FLOAT_EQ(x.at(1, 1), 4.0f);
 }
 
 TEST(Ops, LeakyRelu) {
@@ -244,13 +210,18 @@ TEST(Ops, LeakyRelu) {
   EXPECT_FLOAT_EQ(g.at(0, 1), 1.0f);
 }
 
-TEST(Ops, DropoutZeroRateIsIdentity) {
-  Matrix x{{1, 2, 3}};
-  Matrix mask;
-  Rng rng(1);
-  ops::dropout_forward(x, mask, 0.0f, rng);
+TEST(Ops, DropoutZeroRateIsIdentityAndDrawsNothing) {
+  Matrix x{{1, -2, 3}};
+  Rng rng(1), untouched(1);
+  ops::ActivationRecord rec;
+  ops::activation_forward(x, nullptr, /*relu=*/false, 0.0f, rng, &rec);
   EXPECT_FLOAT_EQ(x.at(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(mask.at(0, 2), 1.0f);
+  EXPECT_FLOAT_EQ(x.at(0, 1), -2.0f);
+  EXPECT_TRUE(rec.flags.empty());
+  EXPECT_EQ(rng.next_u64(), untouched.next_u64());
+  Matrix g{{4, 5, 6}};
+  ops::activation_backward(g, rec);
+  EXPECT_FLOAT_EQ(g.at(0, 1), 5.0f);
 }
 
 TEST(Ops, DropoutIsUnbiased) {
@@ -260,8 +231,8 @@ TEST(Ops, DropoutIsUnbiased) {
   double sum = 0.0;
   for (int i = 0; i < kTrials; ++i) {
     Matrix x{{1.0f}};
-    Matrix mask;
-    ops::dropout_forward(x, mask, 0.4f, rng);
+    ops::ActivationRecord rec;
+    ops::activation_forward(x, nullptr, /*relu=*/false, 0.4f, rng, &rec);
     sum += x.at(0, 0);
   }
   EXPECT_NEAR(sum / kTrials, 1.0, 0.02);
@@ -305,19 +276,6 @@ TEST(Ops, GatherScatterRoundTrip) {
   for (const NodeId i : idx)
     for (std::int64_t c = 0; c < 5; ++c)
       EXPECT_FLOAT_EQ(back.at(i, c), src.at(i, c));
-}
-
-TEST(Ops, ConcatAndSplitColsRoundTrip) {
-  Matrix a{{1, 2}, {3, 4}};
-  Matrix b{{5}, {6}};
-  Matrix cat;
-  ops::concat_cols(a, b, cat);
-  EXPECT_EQ(cat.cols(), 3);
-  EXPECT_FLOAT_EQ(cat.at(1, 2), 6.0f);
-  Matrix a2, b2;
-  ops::split_cols(cat, a2, b2, 2);
-  EXPECT_LT(ops::max_abs_diff(a, a2), 1e-7f);
-  EXPECT_LT(ops::max_abs_diff(b, b2), 1e-7f);
 }
 
 TEST(Ops, FrobeniusNorm) {
@@ -867,6 +825,299 @@ TEST(OpsOracle, GemmNtBitExactOnEveryTarget) {
                          }
                        });
   });
+}
+
+
+/// A view of columns [c0, c0 + cols) of every row of `m` — a block whose
+/// stride exceeds its width, the general case of the GEMMs' views.
+ConstRowBlock col_window(const Matrix& m, std::int64_t c0, std::int64_t cols) {
+  return {m.data() + c0, m.rows(), cols, m.cols()};
+}
+RowBlock col_window(Matrix& m, std::int64_t c0, std::int64_t cols) {
+  return {m.data() + c0, m.rows(), cols, m.cols()};
+}
+
+/// The window's elements as a compact matrix.
+Matrix compact(ConstRowBlock v) {
+  Matrix out(v.rows, v.cols);
+  for (std::int64_t r = 0; r < v.rows; ++r)
+    std::copy(v.data + r * v.stride, v.data + r * v.stride + v.cols,
+              out.data() + r * v.cols);
+  return out;
+}
+
+TEST(OpsOracle, GemmViewsMatchCompactOperandsOnEveryTarget) {
+  // Every operand is a column window of a wider buffer (stride > cols), and
+  // the output window's neighbours must come back untouched: the views
+  // give the bits of the Matrix form on compact copies.
+  Rng rng(24);
+  constexpr std::int64_t m = 67, pad = 5, off = 2;
+  for_oracle_shapes([&](std::int64_t k, std::int64_t n, float alpha,
+                        float beta) {
+    const Matrix a_buf = salted(m, k + pad, rng);
+    const Matrix b_buf = salted(k, n + pad, rng);
+    const Matrix bt_buf = salted(n, k + pad, rng); // gemm_nt's B (n × k)
+    const Matrix g_buf = salted(m, n + pad, rng);  // gemm_tn's B (m × n)
+    const ConstRowBlock a = col_window(a_buf, off, k);
+    const Matrix a_c = compact(a);
+    {
+      Matrix c0 = salted(m, n + pad, rng);
+      Matrix want = c0;
+      Matrix want_c = compact(col_window(c0, off, n));
+      ops::gemm_nn_rows(a_c, compact(col_window(b_buf, off, n)), want_c, 3,
+                        66, alpha, beta);
+      for (std::int64_t r = 0; r < m; ++r)
+        std::copy(want_c.data() + r * n, want_c.data() + (r + 1) * n,
+                  want.data() + r * (n + pad) + off);
+      expect_oracle_bits(c0, want, shape_name("gemm_nn_rows view", k, n,
+                                              alpha, beta),
+                         [&](ops::detail::PanelFn panel, Matrix& c) {
+                           const RowBlock cv = col_window(c, off, n);
+                           const ConstRowBlock bv = col_window(b_buf, off, n);
+                           if (panel == nullptr) {
+                             ops::gemm_nn_rows(a, bv, cv, 3, 66, alpha, beta);
+                           } else {
+                             ops::detail::gemm_nn_rows_with(panel, a, bv, cv,
+                                                            3, 66, alpha,
+                                                            beta);
+                           }
+                         });
+    }
+    {
+      Matrix c0 = salted(k, n + pad, rng);
+      Matrix want = c0;
+      Matrix want_c = compact(col_window(c0, off, n));
+      ops::gemm_tn(a_c, compact(col_window(g_buf, off, n)), want_c, alpha,
+                   beta);
+      for (std::int64_t r = 0; r < k; ++r)
+        std::copy(want_c.data() + r * n, want_c.data() + (r + 1) * n,
+                  want.data() + r * (n + pad) + off);
+      expect_oracle_bits(c0, want, shape_name("gemm_tn view", k, n, alpha,
+                                              beta),
+                         [&](ops::detail::PanelFn panel, Matrix& c) {
+                           const RowBlock cv = col_window(c, off, n);
+                           const ConstRowBlock gv = col_window(g_buf, off, n);
+                           if (panel == nullptr) {
+                             ops::gemm_tn(a, gv, cv, alpha, beta);
+                           } else {
+                             ops::detail::gemm_tn_with(panel, a, gv, cv, alpha,
+                                                       beta);
+                           }
+                         });
+    }
+    {
+      // C (m × n) = A (m × k) · Bᵀ with B (n × k).
+      Matrix c0 = salted(m, n + pad, rng);
+      Matrix want = c0;
+      Matrix want_c = compact(col_window(c0, off, n));
+      ops::gemm_nt(a_c, compact(col_window(bt_buf, off, k)), want_c, alpha,
+                   beta);
+      for (std::int64_t r = 0; r < m; ++r)
+        std::copy(want_c.data() + r * n, want_c.data() + (r + 1) * n,
+                  want.data() + r * (n + pad) + off);
+      expect_oracle_bits(c0, want, shape_name("gemm_nt view", k, n, alpha,
+                                              beta),
+                         [&](ops::detail::PanelFn panel, Matrix& c) {
+                           const RowBlock cv = col_window(c, off, n);
+                           const ConstRowBlock bv = col_window(bt_buf, off, k);
+                           if (panel == nullptr) {
+                             ops::gemm_nt(a, bv, cv, alpha, beta);
+                           } else {
+                             ops::detail::gemm_nt_with(panel, a, bv, cv, alpha,
+                                                       beta);
+                           }
+                         });
+    }
+  });
+}
+
+TEST(OpsOracle, StackedGemmEqualsItsRowHalves) {
+  // What SageLayer relies on: over u = [z | s] and W = [W_z; W_s], the
+  // stacked gemm_nn equals W_z's call then W_s's; dW = uᵀg equals one
+  // gemm_tn per row half of dW; and dU = g·Wᵀ equals one gemm_nt per row
+  // half of W. Bit for bit, at 1 and 4 threads.
+  Rng rng(25);
+  constexpr std::int64_t m = 131, d = 65, h = 17;
+  const Matrix z = salted(m, d, rng), s = salted(m, d, rng);
+  const Matrix w = salted(2 * d, h, rng), g = salted(m, h, rng);
+  Matrix u(m, 2 * d);
+  for (std::int64_t r = 0; r < m; ++r) {
+    std::copy(z.data() + r * d, z.data() + (r + 1) * d, u.data() + r * 2 * d);
+    std::copy(s.data() + r * d, s.data() + (r + 1) * d,
+              u.data() + r * 2 * d + d);
+  }
+  for (const int threads : kOracleThreads) {
+    common::set_ops_threads(threads);
+    Matrix want(m, h), got(m, h);
+    ops::gemm_nn(u, w, want);
+    ops::gemm_nn_rows(z, row_block(w, 0, d), got, 0, m, 1.0f, 1.0f);
+    ops::gemm_nn_rows(s, row_block(w, d, 2 * d), got, 0, m, 1.0f, 1.0f);
+    EXPECT_TRUE(same_bytes(got, want)) << "forward, " << threads << " threads";
+
+    Matrix dw_want = salted(2 * d, h, rng);
+    Matrix dw_got = dw_want;
+    ops::gemm_tn(u, g, dw_want, 1.0f, 1.0f);
+    ops::gemm_tn(z, g, row_block(dw_got, 0, d), 1.0f, 1.0f);
+    ops::gemm_tn(s, g, row_block(dw_got, d, 2 * d), 1.0f, 1.0f);
+    EXPECT_TRUE(same_bytes(dw_got, dw_want)) << "dW, " << threads
+                                             << " threads";
+
+    Matrix du(m, 2 * d);
+    ops::gemm_nt(g, w, du);
+    Matrix dz(m, d), ds(m, d);
+    ops::gemm_nt(g, row_block(w, 0, d), dz, 1.0f, 1.0f);
+    ops::gemm_nt(g, row_block(w, d, 2 * d), ds, 1.0f, 1.0f);
+    Matrix du_got(m, 2 * d);
+    for (std::int64_t r = 0; r < m; ++r) {
+      std::copy(dz.data() + r * d, dz.data() + (r + 1) * d,
+                du_got.data() + r * 2 * d);
+      std::copy(ds.data() + r * d, ds.data() + (r + 1) * d,
+                du_got.data() + r * 2 * d + d);
+    }
+    EXPECT_TRUE(same_bytes(du_got, du)) << "dU, " << threads << " threads";
+  }
+  common::set_ops_threads(1);
+}
+
+// ---------------------------------------------------------------------------
+// Activation epilogue oracle: the bias, ReLU and inverted-dropout passes
+// (and their mask-multiply backward) that ops::activation_forward /
+// activation_backward replaced, kept here as the reference.
+// ---------------------------------------------------------------------------
+
+void two_pass_add_row_bias(Matrix& x, const Matrix& bias) {
+  for (std::int64_t r = 0; r < x.rows(); ++r) {
+    float* row = x.data() + r * x.cols();
+    for (std::int64_t c = 0; c < x.cols(); ++c) row[c] += bias.data()[c];
+  }
+}
+
+void two_pass_relu_forward(Matrix& x, Matrix& mask) {
+  mask.resize(x.rows(), x.cols());
+  for (std::int64_t i = 0; i < x.size(); ++i) {
+    const float v = x.data()[i];
+    mask.data()[i] = v > 0.0f ? 1.0f : 0.0f;
+    x.data()[i] = std::max(0.0f, v);
+  }
+}
+
+void two_pass_dropout_forward(Matrix& x, Matrix& mask, float p, Rng& rng) {
+  mask.resize(x.rows(), x.cols());
+  if (p == 0.0f) {
+    mask.fill(1.0f);
+    return;
+  }
+  const float keep_scale = 1.0f / (1.0f - p);
+  for (std::int64_t i = 0; i < x.size(); ++i) {
+    if (rng.next_float() < p) {
+      x.data()[i] = 0.0f;
+      mask.data()[i] = 0.0f;
+    } else {
+      x.data()[i] *= keep_scale;
+      mask.data()[i] = keep_scale;
+    }
+  }
+}
+
+void two_pass_mask_backward(Matrix& g, const Matrix& mask) {
+  for (std::int64_t i = 0; i < g.size(); ++i) g.data()[i] *= mask.data()[i];
+}
+
+/// salted() plus ±FLT_MAX (so bias adds overflow) and, unless
+/// `with_nan` is false, NaN of both signs.
+Matrix salted_nonfinite(std::int64_t rows, std::int64_t cols, Rng& rng,
+                        bool with_nan = true) {
+  Matrix m = salted(rows, cols, rng);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float big = std::numeric_limits<float>::max();
+  const float specials[] = {big, -big, nan, -nan};
+  const std::size_t n_specials = with_nan ? 4 : 2;
+  for (std::int64_t i = 0; i < m.size(); ++i)
+    if (rng.next_float() < 0.04f)
+      m.data()[i] = specials[rng.next_below(n_specials)];
+  return m;
+}
+
+TEST(OpsOracle, ActivationEpilogueMatchesTwoPassLoops) {
+  const float rates[] = {0.0f, 0.1f, 0.3f, 0.5f};
+  const std::pair<std::int64_t, std::int64_t> shapes[] = {
+      {1, 1}, {3, 7}, {7, 37}, {33, 64}, {67, 65}};
+  Rng data(41);
+  std::uint64_t seed = 100;
+  ops::ActivationRecord rec; // reused across calls, as a layer reuses it
+  for (const auto& [rows, cols] : shapes) {
+    for (const float p : rates) {
+      for (const bool relu : {false, true}) {
+        for (const bool with_bias : {false, true}) {
+          std::ostringstream what;
+          what << rows << "x" << cols << " p=" << p << " relu=" << relu
+               << " bias=" << with_bias;
+          SCOPED_TRACE(what.str());
+          const Matrix x0 = salted_nonfinite(rows, cols, data);
+          // No NaN in the bias: IEEE 754 leaves which payload NaN + NaN
+          // returns to the implementation, and the compiler may commute an
+          // add's operands, so that one case has no fixed bits to compare.
+          // NaN + finite, NaN + inf and inf + -inf are all covered.
+          const Matrix bias =
+              salted_nonfinite(1, cols, data, /*with_nan=*/false);
+          const Matrix g0 = salted_nonfinite(rows, cols, data);
+          ++seed;
+
+          Matrix want = x0, relu_mask, drop_mask;
+          Rng want_rng(seed);
+          if (with_bias) two_pass_add_row_bias(want, bias);
+          if (relu) two_pass_relu_forward(want, relu_mask);
+          two_pass_dropout_forward(want, drop_mask, p, want_rng);
+          Matrix want_g = g0;
+          two_pass_mask_backward(want_g, drop_mask);
+          if (relu) two_pass_mask_backward(want_g, relu_mask);
+
+          Matrix got = x0;
+          Rng got_rng(seed);
+          ops::activation_forward(got, with_bias ? &bias : nullptr, relu, p,
+                                  got_rng, &rec);
+          EXPECT_TRUE(same_bytes(got, want)) << "forward";
+          Matrix got_g = g0;
+          ops::activation_backward(got_g, rec);
+          EXPECT_TRUE(same_bytes(got_g, want_g)) << "backward";
+
+          // Forward-only (no record): the same outputs and the same draws.
+          Matrix bare = x0;
+          Rng bare_rng(seed);
+          ops::activation_forward(bare, with_bias ? &bias : nullptr, relu, p,
+                                  bare_rng, nullptr);
+          EXPECT_TRUE(same_bytes(bare, want)) << "forward without a record";
+
+          // The generator ends where the per-element loop left it.
+          for (int i = 0; i < 4; ++i) {
+            const std::uint64_t next = want_rng.next_u64();
+            EXPECT_EQ(got_rng.next_u64(), next) << "rng state";
+            EXPECT_EQ(bare_rng.next_u64(), next) << "rng state, no record";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(OpsOracle, DropoutIntegerThresholdMatchesTheFloatCompare) {
+  // next_float() < p compared as integers: draws whose 24-bit value sits
+  // exactly at, just below and just above p * 2^24 must split as the float
+  // compare does. Rates with an exact and an inexact p * 2^24.
+  for (const float p : {0.5f, 0.25f, 0.1f, 0.3f, 1.0f / 3.0f}) {
+    Rng a(7), b(7);
+    Matrix x(64, 257, 1.0f), mask;
+    Matrix y = x;
+    two_pass_dropout_forward(x, mask, p, a);
+    ops::ActivationRecord rec;
+    ops::activation_forward(y, nullptr, /*relu=*/false, p, b, &rec);
+    EXPECT_TRUE(same_bytes(y, x)) << "p=" << p;
+  }
+  const double thr = std::ceil(static_cast<double>(0.1f) * 0x1.0p24);
+  for (const double u : {thr - 1.0, thr, thr + 1.0}) {
+    const float f = static_cast<float>(u) * 0x1.0p-24f;
+    EXPECT_EQ(f < 0.1f, u < thr) << "u=" << u;
+  }
 }
 
 } // namespace
